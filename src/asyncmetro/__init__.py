@@ -11,6 +11,7 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    greedy_coloring,
     grid_graph,
     path_graph,
     random_regular_graph,
@@ -31,7 +32,6 @@ from .oracle import (
     total_variation,
 )
 from .netsim import (
-    AdversarialMaxScheduler,
     FixedDelayScheduler,
     Resolution,
     RunStats,

@@ -51,6 +51,19 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges}, max_degree={self.max_degree})"
 
 
+def greedy_coloring(graph: Graph, q: int) -> np.ndarray:
+    """Proper coloring in 0..q-1: nodes in id order take the smallest color no
+    lower-id neighbor holds. Raises ValueError when a node finds none free."""
+    colors = np.full(graph.n, -1, dtype=np.int64)
+    for v in range(graph.n):
+        used = {int(colors[u]) for u in graph.adj[v] if colors[u] >= 0}
+        free = next((c for c in range(q) if c not in used), None)
+        if free is None:
+            raise ValueError(f"greedy proper coloring infeasible at node {v} with q={q}")
+        colors[v] = free
+    return colors
+
+
 def empty_graph(n: int) -> Graph:
     return Graph(n)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from pathlib import Path
@@ -76,7 +77,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read(path)
+    try:
+        parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config: {exc}") from None
     try:
         m = parser["model"]
         g = parser["graph"]
@@ -188,19 +192,10 @@ def initial_configuration(cfg: ExperimentConfig, model: SpinModel) -> np.ndarray
     if policy == "greedy":
         if model.kind != "coloring":
             raise ConfigError("y0 = greedy only applies to coloring models")
-        colors = np.full(model.n, -1, dtype=np.int64)
-        for v in range(model.n):
-            used = {int(colors[u]) for u in model.graph.adj[v] if colors[u] >= 0}
-            for c in range(model.q):
-                if c not in used:
-                    colors[v] = c
-                    break
-            else:
-                raise ConfigError(
-                    f"greedy proper coloring infeasible at node {v} with q={model.q}; "
-                    f"use y0 = fixed or zeros"
-                )
-        return colors
+        try:
+            return graphs.greedy_coloring(model.graph, model.q)
+        except ValueError as exc:
+            raise ConfigError(f"{exc}; use y0 = fixed or zeros") from None
     if policy == "fixed":
         vals = np.asarray(cfg.y0_values, dtype=np.int64)
         if len(vals) != model.n:
@@ -254,9 +249,12 @@ def compare_with_oracle(
     model: SpinModel, sch: sched.UpdateSchedule, y0, result: netsim.SimulationResult
 ) -> tuple[int, int, int] | None:
     """First mismatching coordinate against the sequential chain, or None."""
-    expected = oracle.run_continuous(model, sch, y0).final
-    got = result.final
-    for v in range(model.n):
+    return _first_mismatch(oracle.run_continuous(model, sch, y0).final, result.final)
+
+
+def _first_mismatch(expected, got) -> tuple[int, int, int] | None:
+    """(node, expected state, got state) at the first differing node, or None."""
+    for v in range(len(expected)):
         if expected[v] != got[v]:
             return v, int(expected[v]), int(got[v])
     return None
@@ -272,14 +270,11 @@ def cmd_verify_coupling(cfg: ExperimentConfig, out: IO[str]) -> int:
         expected = oracle.run_continuous(model, sch, y0).final
         for policy in cfg.scheduler_policies:
             scheduler = _scheduler_for(policy, cfg, seed)
-            result = netsim.run(model, sch, y0, scheduler)
-            for v in range(model.n):
-                if result.final[v] != expected[v]:
-                    out.write(
-                        f"MISMATCH seed={seed} scheduler={policy} node={v} "
-                        f"expected={int(expected[v])} got={int(result.final[v])}\n"
-                    )
-                    return 1
+            mismatch = _first_mismatch(expected, netsim.run(model, sch, y0, scheduler).final)
+            if mismatch is not None:
+                v, want, got = mismatch
+                out.write(f"MISMATCH seed={seed} scheduler={policy} node={v} expected={want} got={got}\n")
+                return 1
             checked += 1
     out.write(f"coupling verified: {checked} runs, {len(cfg.seeds)} seeds x "
               f"{len(cfg.scheduler_policies)} schedulers, all exact\n")
@@ -302,16 +297,7 @@ def empirical_tv(cfg: ExperimentConfig, runs: int | None = None, workers: int | 
     exact = oracle.exact_distribution(model)
     runs = runs if runs is not None else cfg.runs
     seeds = [cfg.seeds[0] + k for k in range(runs)]
-    workers = workers if workers is not None else worker_count()
-    counts: dict[tuple[int, ...], int] = {}
-    if workers > 1:
-        with Pool(workers) as pool:
-            for key in pool.imap_unordered(_tv_cell, [(cfg, s) for s in seeds], chunksize=64):
-                counts[key] = counts.get(key, 0) + 1
-    else:
-        for s in seeds:
-            key = _tv_cell((cfg, s))
-            counts[key] = counts.get(key, 0) + 1
+    counts = Counter(_map_cells(_tv_cell, [(cfg, s) for s in seeds], workers, chunksize=64))
     empirical = {k: c / runs for k, c in counts.items()}
     return oracle.total_variation(empirical, exact), runs
 
@@ -344,6 +330,15 @@ def worker_count() -> int:
         return 1
 
 
+def _map_cells(fn, cells: list, workers: int | None, chunksize: int) -> list:
+    """fn over every cell; in a process pool, unordered, when workers > 1."""
+    workers = workers if workers is not None else worker_count()
+    if workers > 1:
+        with Pool(workers) as pool:
+            return list(pool.imap_unordered(fn, cells, chunksize=chunksize))
+    return [fn(cell) for cell in cells]
+
+
 def _sweep_cell(args) -> tuple[int, int, float, float, float, int, int, int]:
     cfg, n, seed = args
     result, report, model = run_one(cfg, seed, cfg.scheduler_policies[0], n_override=n)
@@ -373,13 +368,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> tuple[list[t
     if not cfg.n_grid:
         raise ConfigError("[experiment] n_grid is required for sweep")
     cells = [(cfg, n, seed) for n in cfg.n_grid for seed in cfg.seeds]
-    workers = workers if workers is not None else worker_count()
-    if workers > 1:
-        with Pool(workers) as pool:
-            raw = list(pool.imap_unordered(_sweep_cell, cells, chunksize=1))
-    else:
-        raw = [_sweep_cell(cell) for cell in cells]
-    raw.sort()
+    raw = sorted(_map_cells(_sweep_cell, cells, workers, chunksize=1))
     per_n: dict[int, dict] = {}
     for n in cfg.n_grid:
         rows = [r for r in raw if r[0] == n]

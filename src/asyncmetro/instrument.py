@@ -14,7 +14,7 @@ from typing import IO
 import numpy as np
 
 from .netsim import SimulationInvariantError, SimulationResult
-from .schedule import UpdateId, UpdateSchedule
+from .schedule import UpdateId, UpdateSchedule, order_key
 
 
 @dataclass(frozen=True)
@@ -52,15 +52,19 @@ def record_trigger(result: SimulationResult) -> dict[UpdateId, DependencyRecord]
     return records
 
 
-def _order_key(schedule: UpdateSchedule, uid: UpdateId) -> tuple[float, int, int]:
-    return (float(schedule.times[uid.node][uid.index - 1]), uid.node, uid.index)
-
-
 def _check_precedes(schedule: UpdateSchedule, first: UpdateId, second: UpdateId) -> None:
-    if _order_key(schedule, first) >= _order_key(schedule, second):
+    if order_key(schedule, first) >= order_key(schedule, second):
         raise SimulationInvariantError(
             f"trigger {first} does not precede {second} in the (time, node) order"
         )
+
+
+def _predecessor(records: dict[UpdateId, DependencyRecord], uid: UpdateId) -> UpdateId | None:
+    """Previous update on uid's dependency chain: its trigger, else its node's previous update."""
+    trigger = records[uid].trigger
+    if trigger is not None:
+        return trigger
+    return UpdateId(uid.node, uid.index - 1) if uid.index > 1 else None
 
 
 def chain_of(
@@ -84,13 +88,7 @@ def chain_of(
         if len(seq) >= limit + 1:
             raise SimulationInvariantError(f"dependency chain at {target} has a cycle")
         seq.append(cur)
-        rec = records[cur]
-        if rec.trigger is not None:
-            cur = rec.trigger
-        elif cur.index > 1:
-            cur = UpdateId(cur.node, cur.index - 1)
-        else:
-            cur = None
+        cur = _predecessor(records, cur)
     seq.reverse()
     if schedule is not None:
         for a, b in zip(seq, seq[1:]):
@@ -110,10 +108,7 @@ def chain_lengths(records: dict[UpdateId, DependencyRecord]) -> dict[UpdateId, i
             if cur in lengths:
                 stack.pop()
                 continue
-            rec = records[cur]
-            pred = rec.trigger if rec.trigger is not None else (
-                UpdateId(cur.node, cur.index - 1) if cur.index > 1 else None
-            )
+            pred = _predecessor(records, cur)
             if pred is None:
                 lengths[cur] = 1
                 stack.pop()
@@ -195,9 +190,7 @@ def run_csv_row(
     result: SimulationResult,
     report: ResidenceReport,
 ) -> dict:
-    if model.kind == "coloring":
-        param = f"q={model.q}"
-    elif model.kind == "hardcore":
+    if model.kind == "hardcore":
         param = f"lam={model.params['lam']!r}"
     elif model.kind == "ising":
         param = f"beta={model.params['beta']!r}"

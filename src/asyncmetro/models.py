@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -33,8 +34,15 @@ _PROPOSAL_SUM_TOL = 1e-12
 _EXACT_ENUM_LIMIT = 10**6
 
 
-def _clamp(p: float) -> float:
-    return _PRODUCT_CAP if p > _PRODUCT_CAP else p
+def capped_product(factors: Iterable[float]) -> float:
+    """min(1, prod factors), each running product capped at _PRODUCT_CAP. The
+    filter, the closed-form thresholds and the engine all multiply through it."""
+    p = 1.0
+    for x in factors:
+        p *= x
+        if p > _PRODUCT_CAP:
+            p = _PRODUCT_CAP
+    return p if p < 1.0 else 1.0
 
 
 class SpinModel:
@@ -92,15 +100,22 @@ class SpinModel:
             if not 0 <= b < q:
                 raise ValueError(f"neighborhood state {b} out of range 0..{q - 1}")
 
+    def check_configuration(self, config: Sequence[int]) -> list[int]:
+        """config as a list of ints, after checking its length and state range."""
+        if len(config) != self.n:
+            raise ValueError(f"configuration has length {len(config)}, model has n={self.n}")
+        out = [int(x) for x in config]
+        for v, x in enumerate(out):
+            if not 0 <= x < self.q:
+                raise ValueError(f"state {x} at node {v} out of range 0..{self.q - 1}")
+        return out
+
     def _filter_raw(self, v: int, c: int, c_new: int, tau: Sequence[int]) -> float:
         if self.filter_fn is not None:
             return self.filter_fn(v, c, c_new, tau)
-        # product of edge factors over sorted neighbors, capped as in min(1, .)
-        factor = self.edge_factor_fn
-        p = 1.0
-        for u, b in zip(self.graph.adj[v], tau):
-            p = _clamp(p * factor(v, u, c, c_new, b))
-        return p if p < 1.0 else 1.0
+        # map, not a generator: its closure would slow every call, filter_fn ones too
+        factors = map(self.edge_factor_fn, repeat(v), self.graph.adj[v], repeat(c), repeat(c_new), tau)
+        return capped_product(factors)
 
     def filter_value(self, v: int, c: int, c_new: int, tau: Sequence[int]) -> float:
         """Acceptance probability f(v, c, c', tau); tau in sorted-adjacency order."""

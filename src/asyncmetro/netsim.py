@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .models import SpinModel, _clamp
-from .schedule import UpdateSchedule, UpdateId
+from .models import SpinModel, capped_product
+from .schedule import UpdateSchedule, UpdateId, updates_before
 
 DECISION_BITS = 1
 
@@ -51,14 +50,6 @@ class Scheduler:
 
 class SynchronousScheduler(Scheduler):
     """Benign lock-step scheduler: every delay is exactly one time unit."""
-
-    def delay(self, src, dst, kind, seq):
-        return 1.0
-
-
-class AdversarialMaxScheduler(Scheduler):
-    """Maximal-delay adversary (all delays 1); kept separate from Synchronous
-    as the anchor point for future adaptive policies."""
 
     def delay(self, src, dst, kind, seq):
         return 1.0
@@ -90,12 +81,11 @@ SCHEDULER_POLICIES = ("synchronous", "uniform", "adversarial-max", "fixed")
 
 
 def make_scheduler(policy: str, seed: int = 0, **kwargs) -> Scheduler:
-    if policy == "synchronous":
+    if policy in ("synchronous", "adversarial-max"):
+        # every delay at the maximum of one unit is also the max-delay adversary
         return SynchronousScheduler()
     if policy in ("uniform", "uniform-random"):
         return UniformRandomScheduler(seed)
-    if policy == "adversarial-max":
-        return AdversarialMaxScheduler()
     if policy == "fixed":
         return FixedDelayScheduler(**kwargs)
     raise ValueError(f"unknown scheduler policy {policy!r}; expected one of {SCHEDULER_POLICIES}")
@@ -121,6 +111,12 @@ def phase1_update_bits(n: int, T: float, q: int) -> int:
 def phase1_init_bits(n: int, q: int) -> int:
     """Accounted size of the initial-value fragment of a PhaseOneInfo message."""
     return _ilog2(n) + _ilog2(q)
+
+
+def phase1_info_bits(n: int, T: float, q: int, m_u: int) -> tuple[int, int]:
+    """(total bits, largest fragment) of a PhaseOneInfo message carrying m_u updates."""
+    init, upd = phase1_init_bits(n, q), phase1_update_bits(n, T, q)
+    return init + m_u * upd, (upd if m_u else init)
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +149,22 @@ def possible_states(
         raise ValueError(f"hist has {len(hist_u)} entries, expected j_u = {j_u}")
     if j_u > len(times_u) + 1:
         raise ValueError(f"j_u = {j_u} exceeds update count {len(times_u)} + 1")
-    times_u = list(times_u)
-    if querying_node is None or u < querying_node:
-        idx = bisect_right(times_u, t)
-    else:
-        idx = bisect_left(times_u, t)
+    key_node = u + 1 if querying_node is None else querying_node  # u + 1: ties count as earlier
+    return frozenset(_possible_set(list(times_u), list(proposals_u), hist_u, j_u, u, t, key_node))
+
+
+def _possible_set(times_u, props_u, hist_u, j_u: int, u: int, t: float, key_node: int) -> tuple[int, ...]:
+    """possible_states without the argument checks, as a tuple; the engine's route."""
+    idx = updates_before(times_u, u, t, key_node)
     if idx < j_u:
-        return frozenset((hist_u[idx],))
-    return frozenset((hist_u[j_u - 1], *list(proposals_u)[j_u - 1 : idx]))
+        return (hist_u[idx],)
+    base = hist_u[j_u - 1]
+    window = props_u[j_u - 1 : idx]
+    if not window:
+        return (base,)
+    s = set(window)
+    s.add(base)
+    return tuple(s)
 
 
 def _check_state_sets(model: SpinModel, v: int, neighbor_states) -> list[tuple[int, ...]]:
@@ -191,20 +195,20 @@ def thresholds(
     if not model.has_edge_factors:
         return thresholds_bruteforce(model, v, c, c_new, sets)
     factor = model.edge_factor_fn
-    pmin = pmax = 1.0
-    for u, S in zip(model.graph.adj[v], sets):
-        lo = hi = factor(v, u, c, c_new, S[0])
-        for b in S[1:]:
-            x = factor(v, u, c, c_new, b)
-            if x < lo:
-                lo = x
-            elif x > hi:
-                hi = x
-        pmin = _clamp(pmin * lo)
-        pmax = _clamp(pmax * hi)
-    pac = pmin if pmin < 1.0 else 1.0
-    pre = 1.0 - (pmax if pmax < 1.0 else 1.0)
-    return pac, pre
+    ranges = [edge_range(factor, v, u, c, c_new, S) for u, S in zip(model.graph.adj[v], sets)]
+    return capped_product(lo for lo, _ in ranges), 1.0 - capped_product(hi for _, hi in ranges)
+
+
+def edge_range(factor, v: int, u: int, c: int, c_new: int, S: Sequence[int]) -> tuple[float, float]:
+    """(min, max) of the edge factor g(v, u, c, c_new, b) over the states b in S."""
+    lo = hi = factor(v, u, c, c_new, S[0])
+    for b in S[1:]:
+        x = factor(v, u, c, c_new, b)
+        if x < lo:
+            lo = x
+        elif x > hi:
+            hi = x
+    return lo, hi
 
 
 def thresholds_bruteforce(
@@ -250,23 +254,28 @@ class RunStats:
     total_bits: int
     max_message_bits: int
 
+    @classmethod
+    def derive(cls, entry_times: Sequence[float], term_times: Sequence[float], **counters) -> RunStats:
+        """Stats of a run from per-node Phase-II entry and termination times
+        (node order) and the message counters."""
+        entry = np.array(entry_times, dtype=float)
+        term = np.array(term_times, dtype=float)
+        phase1_end = float(entry.max()) if len(entry) else 0.0
+        return cls(
+            makespan=float(term.max()) if len(term) else 0.0,
+            phase1_end=phase1_end,
+            residence=np.maximum(term - phase1_end, 0.0),
+            entry_times=entry,
+            termination_times=term,
+            **counters,
+        )
+
     @property
     def message_count(self) -> int:
         return self.phase1_messages + self.decision_messages
 
     def same_as(self, other: "RunStats") -> bool:
-        return (
-            self.makespan == other.makespan
-            and self.phase1_end == other.phase1_end
-            and np.array_equal(self.residence, other.residence)
-            and np.array_equal(self.entry_times, other.entry_times)
-            and np.array_equal(self.termination_times, other.termination_times)
-            and self.phase1_messages == other.phase1_messages
-            and self.phase1_fragments == other.phase1_fragments
-            and self.decision_messages == other.decision_messages
-            and self.total_bits == other.total_bits
-            and self.max_message_bits == other.max_message_bits
-        )
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass
@@ -335,16 +344,8 @@ class Simulation:
         collect_trace: bool = False,
         paranoid: bool = False,
     ):
-        if schedule.n != model.n or schedule.q != model.q:
-            raise ValueError(
-                f"schedule (n={schedule.n}, q={schedule.q}) does not match model (n={model.n}, q={model.q})"
-            )
-        if len(y0) != model.n:
-            raise ValueError(f"initial configuration has length {len(y0)}, expected {model.n}")
-        self.y0 = [int(x) for x in y0]
-        for v, x in enumerate(self.y0):
-            if not 0 <= x < model.q:
-                raise ValueError(f"initial state {x} at node {v} out of range 0..{model.q - 1}")
+        schedule.check_model(model)
+        self.y0 = model.check_configuration(y0)
         self.model = model
         self.schedule = schedule
         self.scheduler = scheduler
@@ -379,10 +380,9 @@ class Simulation:
 
     def _schedule_phase1(self) -> None:
         n, T, q = self.model.n, self.schedule.T, self.model.q
-        init_bits = phase1_init_bits(n, q)
-        update_bits = phase1_update_bits(n, T, q)
         for u in range(n):
             m_u = len(self.times_l[u])
+            bits, maxfrag = phase1_info_bits(n, T, q, m_u)
             for v in self.model.graph.adj[u]:
                 # info fragments are serialized on the channel: the logical
                 # PhaseOneInfo message lands when the last fragment does
@@ -396,8 +396,8 @@ class Simulation:
                 heappush(self.heap, (t, u, v, 0, _INFO, False, m_u + 1))
                 self.phase1_messages += 1
                 self.phase1_fragments += m_u + 1
-                self.total_bits += init_bits + m_u * update_bits
-                self.max_message_bits = max(self.max_message_bits, init_bits, update_bits if m_u else 0)
+                self.total_bits += bits
+                self.max_message_bits = max(self.max_message_bits, maxfrag)
 
     def _record(self, vtime: float, kind: str, src: int, dst: int, payload: str) -> None:
         if self.trace is not None:
@@ -459,74 +459,41 @@ class Simulation:
         for u in node.nbrs:
             self._refresh_neighbor(node, u)
 
-    def _possible(self, node: _Node, u: int) -> tuple[int, ...]:
-        tu = self.times_l[u]
-        t = node.t
-        idx = bisect_right(tu, t) if u < node.vid else bisect_left(tu, t)
-        ju = node.j[u]
-        hist = node.hist[u]
-        if idx < ju:
-            return (hist[idx],)
-        base = hist[ju - 1]
-        window = self.props_l[u][ju - 1 : idx]
-        if not window:
-            return (base,)
-        s = set(window)
-        s.add(base)
-        return tuple(s)
-
     def _refresh_neighbor(self, node: _Node, u: int) -> None:
-        S = self._possible(node, u)
+        S = _possible_set(self.times_l[u], self.props_l[u], node.hist[u], node.j[u], u, node.t, node.vid)
         if self.factor is None or self.paranoid:
             node.S[u] = S
         if self.factor is not None:
-            factor = self.factor
-            v, c, cn = node.vid, node.value, node.c_new
-            lo = hi = factor(v, u, c, cn, S[0])
-            for b in S[1:]:
-                x = factor(v, u, c, cn, b)
-                if x < lo:
-                    lo = x
-                elif x > hi:
-                    hi = x
-            node.fmin[u] = lo
-            node.fmax[u] = hi
+            node.fmin[u], node.fmax[u] = edge_range(self.factor, node.vid, u, node.value, node.c_new, S)
 
     def try_resolve(self, node: _Node) -> bool | None:
         """Test the two resolution conditions, accept first; None = undecided."""
         if self.factor is not None:
-            pmin = pmax = 1.0
-            fmin, fmax = node.fmin, node.fmax
-            for u in node.nbrs:
-                pmin = _clamp(pmin * fmin[u])
-                pmax = _clamp(pmax * fmax[u])
-            pac = pmin if pmin < 1.0 else 1.0
-            acc_sup = pmax if pmax < 1.0 else 1.0  # equals 1 - P_RE
-            if self.paranoid and self.model.kind == "coloring":
-                self._check_coloring_conditions(node, pac, acc_sup)
-            if node.beta < pac:
-                return True
-            if node.beta >= acc_sup:
-                return False
-            return None
-        pac, pre = thresholds_bruteforce(
-            self.model, node.vid, node.value, node.c_new, [node.S[u] for u in node.nbrs]
-        )
+            # the first _begin_update fills fmin/fmax in adjacency order, so
+            # their values() multiply in the same order as the filter does
+            pac = capped_product(node.fmin.values())
+            acc_sup = capped_product(node.fmax.values())  # equals 1 - P_RE
+            if self.paranoid:
+                self._check_thresholds(node, pac, 1.0 - acc_sup)
+        else:
+            pac, pre = thresholds_bruteforce(
+                self.model, node.vid, node.value, node.c_new, [node.S[u] for u in node.nbrs]
+            )
+            acc_sup = 1.0 - pre
         if node.beta < pac:
             return True
-        if node.beta >= 1.0 - pre:
+        if node.beta >= acc_sup:
             return False
         return None
 
-    def _check_coloring_conditions(self, node: _Node, pac: float, acc_sup: float) -> None:
-        # the coloring specialization must coincide with the generic thresholds
-        cn = node.c_new
-        in_union = any(cn in node.S[u] for u in node.nbrs)
-        blocked = any(node.S[u] == (cn,) for u in node.nbrs)
-        if (pac == 1.0) != (not in_union) or (acc_sup == 0.0) != blocked:
+    def _check_thresholds(self, node: _Node, pac: float, pre: float) -> None:
+        # the incremental closed form must equal enumeration on the live sets, bit for bit
+        sets = [node.S[u] for u in node.nbrs]
+        expected = thresholds_bruteforce(self.model, node.vid, node.value, node.c_new, sets)
+        if (pac, pre) != expected:
             raise SimulationInvariantError(
-                f"coloring condition mismatch at node {node.vid}, update {node.i}: "
-                f"P_AC={pac}, 1-P_RE={acc_sup}, proposal {cn}, sets {dict(node.S)}"
+                f"threshold mismatch at node {node.vid}, update {node.i}: engine (P_AC, P_RE) = "
+                f"{(pac, pre)}, enumeration {expected}, proposal {node.c_new}, sets {sets}"
             )
 
     def _cascade(self, node: _Node, vtime: float, trigger: tuple[int, int] | None) -> None:
@@ -592,11 +559,7 @@ class Simulation:
             if kind == _INFO:
                 node = self.nodes[dst]
                 if self.trace is not None:
-                    m_u = len(self.times_l[src])
-                    init = phase1_init_bits(self.model.n, self.model.q)
-                    upd = phase1_update_bits(self.model.n, self.schedule.T, self.model.q)
-                    bits = init + m_u * upd
-                    maxfrag = upd if m_u else init
+                    bits, maxfrag = phase1_info_bits(self.model.n, self.schedule.T, self.model.q, aux - 1)
                     self._record(vtime, "info", src, dst, f"frags={aux} bits={bits} maxfrag={maxfrag}")
                 node.info_pending -= 1
                 if node.info_pending == 0 and node.phase == 1:
@@ -614,7 +577,10 @@ class Simulation:
             if node.phase == 1:
                 lines.append(f"  node {node.vid}: still in Phase I ({node.info_pending} info pending)")
                 continue
-            sets = {u: self._possible(node, u) for u in node.nbrs}
+            sets = {
+                u: _possible_set(self.times_l[u], self.props_l[u], node.hist[u], node.j[u], u, node.t, node.vid)
+                for u in node.nbrs
+            }
             lines.append(
                 f"  node {node.vid}: update {node.i}/{node.m}, beta={node.beta!r}, "
                 f"proposal={node.c_new}, j={dict(node.j)}, possible states {sets}"
@@ -622,18 +588,9 @@ class Simulation:
         return "\n".join(lines)
 
     def _finalize(self) -> SimulationResult:
-        n = self.model.n
-        entry = np.array([nd.entry for nd in self.nodes])
-        term = np.array([nd.term for nd in self.nodes])
-        phase1_end = float(entry.max()) if n else 0.0
-        makespan = float(term.max()) if n else 0.0
-        residence = np.maximum(term - phase1_end, 0.0)
-        stats = RunStats(
-            makespan=makespan,
-            phase1_end=phase1_end,
-            residence=residence,
-            entry_times=entry,
-            termination_times=term,
+        stats = RunStats.derive(
+            [nd.entry for nd in self.nodes],
+            [nd.term for nd in self.nodes],
             phase1_messages=self.phase1_messages,
             phase1_fragments=self.phase1_fragments,
             decision_messages=self.decision_messages,
@@ -675,45 +632,42 @@ def replay_trace(fh: IO[str]) -> tuple[RunStats, list[Resolution]]:
     phase1_messages = phase1_fragments = decision_messages = 0
     total_bits = 0
     max_bits = 0
-    for line in fh:
+    for lineno, line in enumerate(fh, start=1):
         parts = line.split()
         if not parts:
             continue
-        vtime, kind, src, dst = float(parts[0]), parts[1], int(parts[2]), int(parts[3])
-        payload = dict(p.split("=", 1) for p in parts[4:])
-        if kind == "enter":
-            entry[dst] = vtime
-        elif kind == "term":
-            term[dst] = vtime
-        elif kind == "info":
-            phase1_messages += 1
-            phase1_fragments += int(payload["frags"])
-            total_bits += int(payload["bits"])
-            max_bits = max(max_bits, int(payload["maxfrag"]))
-        elif kind == "dec":
-            decision_messages += 1
-            total_bits += DECISION_BITS
-            max_bits = max(max_bits, DECISION_BITS)
-        elif kind == "resolve":
-            trig = payload["trigger"]
-            tid = None if trig == "self" else UpdateId(*(int(x) for x in trig.split(":")))
-            resolutions.append(
-                Resolution(dst, int(payload["i"]), bool(int(payload["accept"])), vtime, tid)
-            )
-        else:
-            raise ValueError(f"unknown trace event kind {kind!r}")
+        try:
+            vtime, kind, src, dst = float(parts[0]), parts[1], int(parts[2]), int(parts[3])
+            payload = dict(p.split("=", 1) for p in parts[4:])
+            if kind == "enter":
+                entry[dst] = vtime
+            elif kind == "term":
+                term[dst] = vtime
+            elif kind == "info":
+                phase1_messages += 1
+                phase1_fragments += int(payload["frags"])
+                total_bits += int(payload["bits"])
+                max_bits = max(max_bits, int(payload["maxfrag"]))
+            elif kind == "dec":
+                decision_messages += 1
+                total_bits += DECISION_BITS
+                max_bits = max(max_bits, DECISION_BITS)
+            elif kind == "resolve":
+                trig = payload["trigger"]
+                tid = None if trig == "self" else UpdateId(*(int(x) for x in trig.split(":")))
+                resolutions.append(
+                    Resolution(dst, int(payload["i"]), bool(int(payload["accept"])), vtime, tid)
+                )
+            else:
+                raise ValueError(f"unknown trace event kind {kind!r}")
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"trace line {lineno}: {exc!r} in {line.strip()!r}") from None
     nodes = sorted(entry)
     if nodes != sorted(term):
         raise ValueError("trace has mismatched enter/term events")
-    entry_arr = np.array([entry[v] for v in nodes])
-    term_arr = np.array([term[v] for v in nodes])
-    phase1_end = float(entry_arr.max()) if nodes else 0.0
-    stats = RunStats(
-        makespan=float(term_arr.max()) if nodes else 0.0,
-        phase1_end=phase1_end,
-        residence=np.maximum(term_arr - phase1_end, 0.0),
-        entry_times=entry_arr,
-        termination_times=term_arr,
+    stats = RunStats.derive(
+        [entry[v] for v in nodes],
+        [term[v] for v in nodes],
         phase1_messages=phase1_messages,
         phase1_fragments=phase1_fragments,
         decision_messages=decision_messages,

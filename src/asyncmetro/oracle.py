@@ -10,7 +10,7 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from .models import SpinModel, _SPIN
-from .schedule import UpdateSchedule
+from .schedule import UpdateSchedule, ordered_keys
 
 _EXACT_TABLE_LIMIT = 10**6
 
@@ -37,28 +37,14 @@ def configuration_at(
     initial value."""
     if not 0.0 <= t <= schedule.T:
         raise ValueError(f"query time {t} outside [0, {schedule.T}]")
-    cur = list(_validate_configuration_length(schedule.n, y0))
+    if len(y0) != schedule.n:
+        raise ValueError(f"configuration has length {len(y0)}, expected {schedule.n}")
+    cur = [int(x) for x in y0]
     for step in trajectory:
         if step.time > t:
             break
         cur[step.node] = step.new_state
     return np.asarray(cur, dtype=np.int64)
-
-
-def _validate_configuration_length(n: int, config: Sequence[int]) -> list[int]:
-    if len(config) != n:
-        raise ValueError(f"configuration has length {len(config)}, expected {n}")
-    return [int(x) for x in config]
-
-
-def _validate_configuration(model: SpinModel, config: Sequence[int]) -> list[int]:
-    if len(config) != model.n:
-        raise ValueError(f"configuration has length {len(config)}, model has n={model.n}")
-    out = [int(x) for x in config]
-    for v, x in enumerate(out):
-        if not 0 <= x < model.q:
-            raise ValueError(f"state {x} at node {v} out of range 0..{model.q - 1}")
-    return out
 
 
 def run_continuous(model: SpinModel, schedule: UpdateSchedule, y0: Sequence[int]) -> ContinuousRun:
@@ -68,23 +54,14 @@ def run_continuous(model: SpinModel, schedule: UpdateSchedule, y0: Sequence[int]
     with current state c and proposal c' is accepted iff the coin satisfies
     beta < f(v, c, c', neighborhood) evaluated at the pre-update neighborhood.
     """
-    if schedule.n != model.n:
-        raise ValueError(f"schedule has n={schedule.n}, model has n={model.n}")
-    if schedule.q != model.q:
-        raise ValueError(f"schedule has q={schedule.q}, model has q={model.q}")
-    cur = _validate_configuration(model, y0)
-    keyed = [
-        (t, v, i)
-        for v in range(schedule.n)
-        for i, t in enumerate(schedule.times[v].tolist(), start=1)
-    ]
-    keyed.sort()
+    schedule.check_model(model)
+    cur = model.check_configuration(y0)
     adj = model.graph.adj
     filt = model._filter_raw
     proposals = [p.tolist() for p in schedule.proposals]
     coins = [b.tolist() for b in schedule.coins]
     trajectory = []
-    for t, v, i in keyed:
+    for t, v, i in ordered_keys(schedule):
         c_new = proposals[v][i - 1]
         tau = [cur[u] for u in adj[v]]
         if coins[v][i - 1] < filt(v, cur[v], c_new, tau):
@@ -104,7 +81,7 @@ def run_discrete(
     accept iff a fresh uniform coin is below the filter."""
     if n_steps < 0:
         raise ValueError(f"step count must be >= 0, got {n_steps}")
-    cur = _validate_configuration(model, x0)
+    cur = model.check_configuration(x0)
     rng = np.random.default_rng(seed)
     adj = model.graph.adj
     filt = model._filter_raw

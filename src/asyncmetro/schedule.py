@@ -53,6 +53,12 @@ class UpdateSchedule:
             if len(b) and (b.min() < 0.0 or b.max() >= 1.0):
                 raise ValueError(f"node {v}: coins out of [0, 1)")
 
+    def check_model(self, model: SpinModel) -> None:
+        if self.n != model.n or self.q != model.q:
+            raise ValueError(
+                f"schedule (n={self.n}, q={self.q}) does not match model (n={model.n}, q={model.q})"
+            )
+
     @property
     def counts(self) -> list[int]:
         return [len(t) for t in self.times]
@@ -103,21 +109,32 @@ def generate(model: SpinModel, T: float, seed: int) -> UpdateSchedule:
     return UpdateSchedule(float(T), int(seed), n, q, times, proposals, coins)
 
 
-def total_order(schedule: UpdateSchedule) -> list[UpdateId]:
-    """All updates sorted by the strict total order (time, node, index)."""
+def order_key(schedule: UpdateSchedule, uid: UpdateId) -> tuple[float, int, int]:
+    """Position of one update in the strict total order (time, node, index)."""
+    return (float(schedule.times[uid.node][uid.index - 1]), uid.node, uid.index)
+
+
+def ordered_keys(schedule: UpdateSchedule) -> list[tuple[float, int, int]]:
+    """order_key of every update, sorted; times stay Python floats."""
     keyed = [
-        (t, v, i + 1)
+        (t, v, i)
         for v in range(schedule.n)
-        for i, t in enumerate(schedule.times[v].tolist())
+        for i, t in enumerate(schedule.times[v].tolist(), start=1)
     ]
     keyed.sort()
-    return [UpdateId(v, i) for (_, v, i) in keyed]
+    return keyed
+
+
+def total_order(schedule: UpdateSchedule) -> list[UpdateId]:
+    """All updates sorted by the strict total order (time, node, index)."""
+    return [UpdateId(v, i) for _, v, i in ordered_keys(schedule)]
 
 
 def updates_before(times, u: int, t: float, querying_node: int) -> int:
     """Count of node u's updates strictly before the order key (t, querying_node).
 
-    Exact time ties across nodes break toward the smaller node id.
+    Exact time ties across nodes break toward the smaller node id. This is the
+    one place the tie-break is written out; order_key encodes the same rule.
     """
     if u < querying_node:
         return bisect_right(times, t)

@@ -15,6 +15,7 @@ from asyncmetro import (
     empty_graph,
     exact_distribution,
     generate,
+    greedy_coloring,
     grid_graph,
     lipschitz_bound,
     make_coloring,
@@ -41,14 +42,6 @@ def _report(criterion: int, name: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {criterion} [{name}]: {status}{suffix}")
     assert ok, f"criterion {criterion} ({name}) failed: {detail}"
-
-
-def greedy_coloring(graph, q):
-    colors = np.full(graph.n, -1, dtype=np.int64)
-    for v in range(graph.n):
-        used = {int(colors[u]) for u in graph.adj[v] if colors[u] >= 0}
-        colors[v] = next(c for c in range(q) if c not in used)
-    return colors
 
 
 def coupling_setups():

@@ -1,0 +1,93 @@
+"""Byte-identity of the text outputs across refactors.
+
+The digests below pin the exact bytes of the `asyncmetro run` CSV and
+`--finals` file, of exported event traces, and of the oracle's trajectory
+dump for small fixed configs. A change that alters any of them alters a
+random stream, an ordering rule or a float's formatting, and must say why.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from asyncmetro import cli, harness, netsim, oracle
+from asyncmetro import schedule as sched_mod
+
+CONFIGS = {
+    "coloring": (
+        "[model]\nkind = coloring\nq = 7\n\n"
+        "[graph]\nkind = random-regular\nn = 12\ndegree = 3\nseed = 5\n\n"
+    ),
+    "hardcore": (
+        "[model]\nkind = hardcore\nlambda = 1.3\n\n"
+        "[graph]\nkind = grid\nrows = 3\ncols = 4\n\n"
+    ),
+    "ising": (
+        "[model]\nkind = ising\nbeta = 0.4\n\n"
+        "[graph]\nkind = cycle\nn = 10\n\n"
+    ),
+}
+
+COMMON = (
+    "[chain]\nT = 4.0\n\n"
+    "[scheduler]\npolicies = synchronous, uniform, adversarial-max\nseed = 11\n\n"
+    "[experiment]\nseeds = 1:3\n"
+)
+
+RUN_CSV = {
+    "coloring": "67bde113f85a37809d8adee75a18fb9f8473d1e8e0956a46b51de1e7cfeebe6d",
+    "hardcore": "600bcf8ec0ebf4dd1358d5513277760ceee4357ad2d0acdaa7d83db142ec4a78",
+    "ising": "e507b6f717c3c4b1be756e492e81ee010e611ed7b24d16f39a155b7c14ef0858",
+}
+FINALS = {
+    "coloring": "788d13ec8d8f361fdb34176a6514f2655efe1ec076791bf997f86180d26008cf",
+    "hardcore": "f904becd103ce0577fb28e8d77431bc0411bdb4605336c66116d8b95415f6cd7",
+    "ising": "f895cea7e97ea957cfcd06ab209914c3d4d2074856cb97bc5c3205e679980871",
+}
+TRACE = {
+    "coloring": "25eec83cdf66dda9ed023ce8b8a941b08be3d6453a6207e034f7560de6aab7b9",
+    "hardcore": "79cf7888cad729d52ec1bcce51eaf9b8e7eca8b5826ce3af9796ad4b6a746b05",
+    "ising": "1a59885b23d4518dc37f40dd8be5a5b6e764b73dd638d75a9e40dcab15e7c4f6",
+}
+TRAJECTORY_ISING = "fea4b882d116091d47136fc2d076f37e0404aea348fddbfecc5c9e340f48d034"
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture
+def config_path(tmp_path, request):
+    path = tmp_path / f"{request.param}.ini"
+    path.write_text(CONFIGS[request.param] + COMMON)
+    return path
+
+
+@pytest.mark.parametrize("config_path", sorted(CONFIGS), indirect=True)
+def test_run_csv_and_finals(config_path, tmp_path):
+    kind = config_path.stem
+    out, finals = tmp_path / "runs.csv", tmp_path / "finals.txt"
+    assert cli.main(["run", str(config_path), "-o", str(out), "--finals", str(finals)]) == 0
+    assert _sha(out.read_text()) == RUN_CSV[kind]
+    assert _sha(finals.read_text()) == FINALS[kind]
+
+
+@pytest.mark.parametrize("config_path", sorted(CONFIGS), indirect=True)
+def test_uniform_trace(config_path):
+    cfg = harness.load_config(config_path)
+    result, _, _ = harness.run_one(cfg, 2, "uniform", collect_trace=True)
+    buf = io.StringIO()
+    netsim.write_trace(result.trace, buf)
+    assert _sha(buf.getvalue()) == TRACE[config_path.stem]
+
+
+@pytest.mark.parametrize("config_path", ["ising"], indirect=True)
+def test_trajectory(config_path):
+    cfg = harness.load_config(config_path)
+    model = harness.build_model(cfg, harness.build_graph(cfg))
+    sch = sched_mod.generate(model, cfg.T, 3)
+    run = oracle.run_continuous(model, sch, harness.initial_configuration(cfg, model))
+    buf = io.StringIO()
+    oracle.write_trajectory(run.trajectory, buf)
+    assert _sha(buf.getvalue()) == TRAJECTORY_ISING

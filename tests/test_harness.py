@@ -361,3 +361,22 @@ class TestCli:
 
     def test_replay_trace_missing_file(self, tmp_path):
         assert cli.main(["replay-trace", str(tmp_path / "nope.txt")]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "kind = coloring\n" + BASE_CONFIG,
+        BASE_CONFIG + "[graph]\nkind = cycle\n",
+        BASE_CONFIG.replace("q = 5", "q = 5\nq = 6"),
+    ], ids=["no-section-header", "duplicate-section", "duplicate-option"])
+    def test_malformed_ini_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: malformed config")
+
+    @pytest.mark.parametrize("bad", ["0.5 info 1", "0.5 info 0 1 bits=3 maxfrag=2"],
+                             ids=["too-few-fields", "missing-payload-key"])
+    def test_malformed_trace_exits_2(self, tmp_path, capsys, bad):
+        trace = tmp_path / "trace.txt"
+        trace.write_text(f"0.0 enter -1 0\n{bad}\n")
+        assert cli.main(["replay-trace", str(trace)]) == 2
+        assert "trace line 2" in capsys.readouterr().err

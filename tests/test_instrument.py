@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from asyncmetro import (
-    AdversarialMaxScheduler,
     Graph,
     SimulationInvariantError,
     SynchronousScheduler,
@@ -16,6 +15,7 @@ from asyncmetro import (
     cycle_graph,
     empty_graph,
     generate,
+    greedy_coloring,
     make_coloring,
     make_hardcore,
     make_scheduler,
@@ -74,7 +74,7 @@ class TestRecordTrigger:
         # A's sole update precedes everything B does; it resolves from the
         # initial values alone, at Phase-II entry
         m, s, y0 = alternating_fixture()
-        res = run(m, s, y0, AdversarialMaxScheduler())
+        res = run(m, s, y0, make_scheduler("adversarial-max"))
         records = record_trigger(res)
         assert records[UpdateId(0, 1)].trigger is None
 
@@ -126,7 +126,7 @@ class TestChainOf:
 
     def test_alternating_chain_matches_hand_trace(self):
         m, s, y0 = alternating_fixture()
-        res = run(m, s, y0, AdversarialMaxScheduler())
+        res = run(m, s, y0, make_scheduler("adversarial-max"))
         assert res.final.tolist() == [0, 1]  # every proposal rejected
         records = record_trigger(res)
         chain = chain_of(records, UpdateId(1, 2), schedule=s)
@@ -161,7 +161,7 @@ class TestPhase2Residence:
         # hand-traced fixture: A terminates 2 units after the last entry,
         # B 3 units after; chains are one longer than the hop counts
         m, s, y0 = alternating_fixture()
-        res = run(m, s, y0, AdversarialMaxScheduler())
+        res = run(m, s, y0, make_scheduler("adversarial-max"))
         assert res.stats.phase1_end == 3.0
         assert res.stats.makespan == 6.0
         report = phase2_residence(res)
@@ -183,7 +183,7 @@ class TestPhase2Residence:
 
     def test_violation_detected(self):
         m, s, y0 = alternating_fixture()
-        res = run(m, s, y0, AdversarialMaxScheduler())
+        res = run(m, s, y0, make_scheduler("adversarial-max"))
         res.stats.residence = res.stats.residence + 100.0
         with pytest.raises(SimulationInvariantError, match="exceeds chain length"):
             phase2_residence(res, verify=True)
@@ -202,14 +202,11 @@ class TestResidenceTailDecay:
         n, d, T = 64, 4, 2.0
         g = random_regular_graph(n, d, seed=64)
         m = make_coloring(g, 4 * d)
-        y0 = np.full(n, -1, dtype=np.int64)
-        for v in range(n):
-            used = {int(y0[u]) for u in g.adj[v] if y0[u] >= 0}
-            y0[v] = next(c for c in range(m.q) if c not in used)
+        y0 = greedy_coloring(g, m.q)
         maxima = []
         for seed in range(1, 401):
             s = generate(m, T, seed)
-            res = run(m, s, y0, AdversarialMaxScheduler())
+            res = run(m, s, y0, make_scheduler("adversarial-max"))
             maxima.append(phase2_residence(res).max_residence)
         maxima = np.asarray(maxima)
         c_lip = lipschitz_bound(m)

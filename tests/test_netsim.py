@@ -11,6 +11,7 @@ from asyncmetro import (
     Graph,
     Simulation,
     SimulationInvariantError,
+    SpinModel,
     SynchronousScheduler,
     cycle_graph,
     empty_graph,
@@ -20,6 +21,7 @@ from asyncmetro import (
     make_ising,
     make_scheduler,
     path_graph,
+    phase2_residence,
     possible_states,
     run,
     run_continuous,
@@ -287,19 +289,69 @@ class TestEventLoopInternals:
         assert len(res.resolutions) == s.total_updates
 
 
-class TestColoringSpecialization:
-    def test_paranoid_cross_check_runs_clean(self):
-        # the generic thresholds must realize the two coloring resolution
-        # conditions exactly; paranoid mode asserts that on every test
+def _soft_model(g):
+    # a custom edge-factor model whose factors are neither 0/1 nor symmetric
+    def factor(v, u, c, cn, b):
+        return 0.3 if b == cn else (1.7 if b == c else 0.9)
+
+    return SpinModel(g, 3, np.full((g.n, 3), 1.0 / 3), edge_factor_fn=factor)
+
+
+class TestParanoidCheck:
+    def test_runs_clean_on_every_edge_factor_model(self):
+        # paranoid mode recomputes every engine threshold by enumeration of
+        # the live sets and demands bit equality
         rng = np.random.default_rng(5)
-        for _ in range(10):
+        for k in range(16):
             n = int(rng.integers(3, 9))
-            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
-            m = make_coloring(Graph(n, edges), int(rng.integers(2, 6)))
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+            m = (make_coloring(g, int(rng.integers(2, 6))), make_hardcore(g, 1.4),
+                 make_ising(g, float(rng.normal())), _soft_model(g))[k % 4]
             s = generate(m, 4.0, int(rng.integers(10**6)))
-            y0 = rng.integers(0, m.q, n)
+            y0 = rng.integers(0, m.q, n) if m.kind != "hardcore" else np.zeros(n, dtype=int)
+            expected = run_continuous(m, s, y0).final
+            for policy in ("synchronous", "uniform"):
+                res = run(m, s, y0, make_scheduler(policy, seed=k), paranoid=True)
+                assert np.array_equal(res.final, expected), (m.kind, policy)
+
+    def test_detects_wrong_edge_range(self, monkeypatch):
+        m = make_ising(cycle_graph(6), 0.5)
+        s = generate(m, 3.0, 4)
+        y0 = [0, 1, 0, 1, 0, 1]
+        run(m, s, y0, SynchronousScheduler(), paranoid=True)
+        right = netsim.edge_range
+        monkeypatch.setattr(netsim, "edge_range", lambda *args: tuple(0.5 * x for x in right(*args)))
+        run(m, s, y0, SynchronousScheduler())  # the fault itself raises nothing
+        with pytest.raises(SimulationInvariantError, match="threshold mismatch"):
             run(m, s, y0, SynchronousScheduler(), paranoid=True)
 
+
+class TestExactTies:
+    def test_coupling_with_shared_time_grid(self):
+        # generate() never yields equal times, so hand-built schedules draw
+        # every update time from one grid and adjacent nodes tie exactly
+        grid = np.array([0.25, 0.5, 0.75, 1.0, 1.5])
+        rng = np.random.default_rng(8)
+        for k in range(300):
+            n = int(rng.integers(2, 8))
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+            m = (make_coloring(g, int(rng.integers(2, 5))), make_hardcore(g, 1.2),
+                 make_ising(g, float(rng.normal())))[k % 3]
+            times = [grid[rng.random(len(grid)) < 0.6] for _ in range(n)]
+            s = make_manual(
+                2.0, times, q=m.q,
+                proposals=[rng.integers(0, m.q, len(t)) for t in times],
+                coins=[rng.random(len(t)) for t in times],
+            )
+            y0 = rng.integers(0, m.q, n)
+            expected = run_continuous(m, s, y0).final
+            for policy in ("synchronous", "uniform", "adversarial-max"):
+                res = run(m, s, y0, make_scheduler(policy, seed=k), paranoid=True)
+                assert np.array_equal(res.final, expected), (k, m.kind, policy)
+                phase2_residence(res, verify=True)
+
+
+class TestColoringSpecialization:
     def test_threshold_values_are_boolean(self):
         rng = np.random.default_rng(6)
         m = make_coloring(path_graph(3), 4)

@@ -112,6 +112,7 @@ class TestTotalOrder:
     def test_exact_tie_breaks_by_node_id(self):
         s = make_manual(1.0, [[], [], [], [0.5], [], [], [], [0.5]])
         assert total_order(s) == [UpdateId(3, 1), UpdateId(7, 1)]
+        assert [sched_mod.order_key(s, uid) for uid in total_order(s)] == sched_mod.ordered_keys(s)
 
     def test_restriction_to_one_node_is_index_order(self):
         m = make_coloring(empty_graph(4), 3)
