@@ -76,7 +76,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no option uses interpolation, so a "%" in a value stays a plain character
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read(path)
     except configparser.Error as exc:
@@ -121,6 +122,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for p in policies:
         if p not in netsim.SCHEDULER_POLICIES:
             raise ConfigError(f"unknown scheduler policy {p!r}")
+        if p == "fixed":
+            raise ConfigError("scheduler policy 'fixed' needs a per-channel delay table, which a config "
+                              "cannot set; use netsim.make_scheduler('fixed', table=...) from Python")
 
     cfg = ExperimentConfig(
         model_kind=kind,
@@ -212,16 +216,22 @@ def _scheduler_for(policy: str, cfg: ExperimentConfig, run_seed: int) -> netsim.
     return netsim.make_scheduler(policy, seed=derived)
 
 
+def build_cell(cfg: ExperimentConfig, n_override: int | None = None) -> tuple[SpinModel, np.ndarray]:
+    """The config's model and initial configuration (graph size n_override if given)."""
+    model = build_model(cfg, build_graph(cfg, n_override))
+    return model, initial_configuration(cfg, model)
+
+
 def run_one(
     cfg: ExperimentConfig,
     seed: int,
     policy: str,
     n_override: int | None = None,
     collect_trace: bool = False,
+    cell: tuple[SpinModel, np.ndarray] | None = None,
 ) -> tuple[netsim.SimulationResult, instrument.ResidenceReport, SpinModel]:
-    graph = build_graph(cfg, n_override)
-    model = build_model(cfg, graph)
-    y0 = initial_configuration(cfg, model)
+    """One seeded run; cell is build_cell's (model, y0), built here when None."""
+    model, y0 = cell if cell is not None else build_cell(cfg, n_override)
     sch = sched.generate(model, cfg.T, seed)
     scheduler = _scheduler_for(policy, cfg, seed)
     result = netsim.run(model, sch, y0, scheduler, collect_trace=collect_trace)
@@ -230,11 +240,12 @@ def run_one(
 
 
 def cmd_run(cfg: ExperimentConfig, out: IO[str], finals_out: IO[str] | None = None) -> int:
+    cell = build_cell(cfg)
     rows = []
     finals = []
     for seed in cfg.seeds:
         for policy in cfg.scheduler_policies:
-            result, report, model = run_one(cfg, seed, policy)
+            result, report, model = run_one(cfg, seed, policy, cell=cell)
             rows.append(instrument.run_csv_row(seed, policy, model, cfg.T, result, report))
             finals.append((seed, policy, result.final.tolist()))
     rows.sort(key=lambda r: (r["seed"], r["scheduler"]))
@@ -261,11 +272,9 @@ def _first_mismatch(expected, got) -> tuple[int, int, int] | None:
 
 
 def cmd_verify_coupling(cfg: ExperimentConfig, out: IO[str]) -> int:
+    model, y0 = build_cell(cfg)
     checked = 0
     for seed in cfg.seeds:
-        graph = build_graph(cfg)
-        model = build_model(cfg, graph)
-        y0 = initial_configuration(cfg, model)
         sch = sched.generate(model, cfg.T, seed)
         expected = oracle.run_continuous(model, sch, y0).final
         for policy in cfg.scheduler_policies:
@@ -290,8 +299,7 @@ def _tv_cell(args) -> tuple[int, ...]:
 def empirical_tv(cfg: ExperimentConfig, runs: int | None = None, workers: int | None = None) -> tuple[float, int]:
     """TV distance between simulated final configurations over fresh seeds and
     the exhaustive distribution."""
-    graph = build_graph(cfg)
-    model = build_model(cfg, graph)
+    model = build_model(cfg, build_graph(cfg))
     if model.q ** model.n > 10**6:
         raise ConfigError(f"state space too large for exact comparison: {model.q}^{model.n}")
     exact = oracle.exact_distribution(model)
@@ -413,8 +421,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: IO[str]) -> int:
 
 
 def cmd_dump_schedule(cfg: ExperimentConfig, out: IO[str]) -> int:
-    graph = build_graph(cfg)
-    model = build_model(cfg, graph)
+    model = build_model(cfg, build_graph(cfg))
     sch = sched.generate(model, cfg.T, cfg.seeds[0])
     sched.dump(sch, out)
     return 0

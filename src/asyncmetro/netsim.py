@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, fields
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -30,10 +30,6 @@ from .schedule import UpdateSchedule, UpdateId, updates_before
 
 DECISION_BITS = 1
 
-_INFO = 0
-_DEC = 1
-
-
 class SimulationInvariantError(RuntimeError):
     """An internal protocol invariant failed; signals a simulator bug."""
 
@@ -42,7 +38,11 @@ class SimulationInvariantError(RuntimeError):
 # delay schedulers
 
 class Scheduler:
-    """Per-message delay policy. Every delay must lie in (0, 1]."""
+    """Per-message delay policy. Every delay must lie in (0, 1]. A policy whose
+    delays are all one number declares it as constant_delay; the engine then
+    adds it without calling delay()."""
+
+    constant_delay: float | None = None
 
     def delay(self, src: int, dst: int, kind: str, seq: int) -> float:
         raise NotImplementedError
@@ -51,8 +51,10 @@ class Scheduler:
 class SynchronousScheduler(Scheduler):
     """Benign lock-step scheduler: every delay is exactly one time unit."""
 
+    constant_delay = 1.0
+
     def delay(self, src, dst, kind, seq):
-        return 1.0
+        return self.constant_delay
 
 
 class UniformRandomScheduler(Scheduler):
@@ -150,12 +152,13 @@ def possible_states(
     if j_u > len(times_u) + 1:
         raise ValueError(f"j_u = {j_u} exceeds update count {len(times_u)} + 1")
     key_node = u + 1 if querying_node is None else querying_node  # u + 1: ties count as earlier
-    return frozenset(_possible_set(list(times_u), list(proposals_u), hist_u, j_u, u, t, key_node))
+    idx = updates_before(list(times_u), u, t, key_node)
+    return frozenset(_possible_set(list(proposals_u), hist_u, j_u, idx))
 
 
-def _possible_set(times_u, props_u, hist_u, j_u: int, u: int, t: float, key_node: int) -> tuple[int, ...]:
-    """possible_states without the argument checks, as a tuple; the engine's route."""
-    idx = updates_before(times_u, u, t, key_node)
+def _possible_set(props_u, hist_u, j_u: int, idx: int) -> tuple[int, ...]:
+    """possible_states as a tuple, given idx = updates_before(...) and no
+    argument checks; the engine's route."""
     if idx < j_u:
         return (hist_u[idx],)
     base = hist_u[j_u - 1]
@@ -287,43 +290,36 @@ class SimulationResult:
     schedule: UpdateSchedule = field(repr=False)
 
 
-class _Channel:
-    __slots__ = ("last_deliver", "seq")
-
-    def __init__(self):
-        self.last_deliver = 0.0
-        self.seq = 0
-
-
 class _Node:
+    """Per-node protocol state. The lists are indexed by neighbor slot k, the
+    position in nbrs: the neighbor's known prefix length j and resolved states
+    hist (initial value first), its possible set S and edge range fmin/fmax,
+    win[k][i - 1] = its count of updates before this node's update i, rslot =
+    this node's slot in its adjacency, out_last = last delivery on the channel to it."""
+
     __slots__ = (
-        "vid", "nbrs", "m", "times", "proposals", "coins", "phase", "value",
-        "i", "t", "beta", "c_new", "j", "hist", "fmin", "fmax", "S",
-        "pending", "info_pending", "entry", "term", "done",
+        "vid", "nbrs", "m", "times", "proposals", "coins", "phase", "value", "i", "beta", "c_new",
+        "j", "hist", "fmin", "fmax", "S", "win", "rslot", "out_last", "pending", "info_pending",
+        "entry", "term", "done",
     )
 
-    def __init__(self, vid, nbrs, times, proposals, coins, y0):
-        self.vid = vid
-        self.nbrs = nbrs
-        self.times = times
-        self.proposals = proposals
-        self.coins = coins
+    def __init__(self, vid, nbrs, times, proposals, coins, y0, win, rslot):
+        self.vid, self.nbrs, self.times, self.proposals, self.coins = vid, nbrs, times, proposals, coins
         self.m = len(times)
         self.phase = 1
-        self.value = y0
-        self.i = 0
-        self.t = 0.0
+        self.value = y0[vid]
+        self.i = self.c_new = 0
         self.beta = 0.0
-        self.c_new = 0
-        self.j: dict[int, int] = {}
-        self.hist: dict[int, list[int]] = {}
-        self.fmin: dict[int, float] = {}
-        self.fmax: dict[int, float] = {}
-        self.S: dict[int, tuple[int, ...]] = {}
+        self.j = [1] * len(nbrs)
+        self.hist = [[y0[u]] for u in nbrs]
+        self.fmin = [0.0] * len(nbrs)
+        self.fmax = [0.0] * len(nbrs)
+        self.S: list[tuple[int, ...] | None] = [None] * len(nbrs)
+        self.win, self.rslot = win, rslot
+        self.out_last = [0.0] * len(nbrs)
         self.pending: list[tuple[int, bool, int]] = []
         self.info_pending = len(nbrs)
-        self.entry = math.inf
-        self.term = math.inf
+        self.entry = self.term = math.inf
         self.done = False
 
 
@@ -332,8 +328,10 @@ class Simulation:
 
     All nondeterminism lives in the schedule and the scheduler seed; event
     deliveries are processed in virtual-time order with the
-    (vtime, src, dst, sequence) tie-break.
-    """
+    (vtime, src, dst, sequence) tie-break. A heap entry is (vtime, src, dst, seq,
+    accepted, slot): seq 0 is the channel's Phase-I info message, seq i the
+    decision on src's update i, slot the position of src in dst's adjacency.
+    The first four fields are unique, so the rest are never compared."""
 
     def __init__(
         self,
@@ -346,28 +344,29 @@ class Simulation:
     ):
         schedule.check_model(model)
         self.y0 = model.check_configuration(y0)
+        self.const_delay = scheduler.constant_delay
+        if self.const_delay is not None and not 0.0 < self.const_delay <= 1.0:
+            raise ValueError(f"scheduler constant_delay {self.const_delay!r} outside (0, 1]")
         self.model = model
         self.schedule = schedule
         self.scheduler = scheduler
         self.paranoid = paranoid
         self.factor = model.edge_factor_fn
-        self.times_l = [t.tolist() for t in schedule.times]
         self.props_l = [p.tolist() for p in schedule.proposals]
         coins_l = [b.tolist() for b in schedule.coins]
-        adj = model.graph.adj
+        adj, times = model.graph.adj, schedule.times
+        slot_of = [{u: k for k, u in enumerate(a)} for a in adj]
         self.nodes = [
-            _Node(v, adj[v], self.times_l[v], self.props_l[v], coins_l[v], self.y0[v])
+            _Node(v, adj[v], times[v].tolist(), self.props_l[v], coins_l[v], self.y0,
+                  [updates_before(times[u], u, times[v], v).tolist() for u in adj[v]],
+                  [slot_of[u][v] for u in adj[v]])
             for v in range(model.n)
         ]
         self.heap: list[tuple] = []
-        self.channels: dict[tuple[int, int], _Channel] = {}
         self.resolutions: list[Resolution] = []
         self.trace: list[tuple] | None = [] if collect_trace else None
-        self.phase1_messages = 0
-        self.phase1_fragments = 0
-        self.decision_messages = 0
-        self.total_bits = 0
-        self.max_message_bits = 0
+        self.phase1_messages = self.phase1_fragments = self.decision_messages = 0
+        self.total_bits = self.max_message_bits = 0
         self._executed = False
 
     # -- channel plumbing ---------------------------------------------------
@@ -379,25 +378,23 @@ class Simulation:
         return d
 
     def _schedule_phase1(self) -> None:
-        n, T, q = self.model.n, self.schedule.T, self.model.q
-        for u in range(n):
-            m_u = len(self.times_l[u])
+        n, T, q, const = self.model.n, self.schedule.T, self.model.q, self.const_delay
+        for node in self.nodes:
+            u, m_u = node.vid, node.m
             bits, maxfrag = phase1_info_bits(n, T, q, m_u)
-            for v in self.model.graph.adj[u]:
+            for k, v in enumerate(node.nbrs):
                 # info fragments are serialized on the channel: the logical
                 # PhaseOneInfo message lands when the last fragment does
                 t = 0.0
                 for frag in range(m_u + 1):
-                    t += self._delay(u, v, "info", frag)
-                ch = _Channel()
-                ch.last_deliver = t
-                ch.seq = 1
-                self.channels[(u, v)] = ch
-                heappush(self.heap, (t, u, v, 0, _INFO, False, m_u + 1))
+                    t += const if const is not None else self._delay(u, v, "info", frag)
+                node.out_last[k] = t
+                self.heap.append((t, u, v, 0, False, node.rslot[k]))
                 self.phase1_messages += 1
                 self.phase1_fragments += m_u + 1
                 self.total_bits += bits
                 self.max_message_bits = max(self.max_message_bits, maxfrag)
+        heapify(self.heap)
 
     def _record(self, vtime: float, kind: str, src: int, dst: int, payload: str) -> None:
         if self.trace is not None:
@@ -409,92 +406,99 @@ class Simulation:
         node.phase = 2
         node.entry = vtime
         self._record(vtime, "enter", -1, node.vid, "")
-        for u in node.nbrs:
-            node.j[u] = 1
-            node.hist[u] = [self.y0[u]]
-        if node.m == 0:
-            node.done = True
-            node.term = vtime
-            self._record(vtime, "term", -1, node.vid, "")
-        else:
-            node.i = 1
-            self._begin_update(node)
+        self._advance(node, vtime)
+        if not node.done:
             self._cascade(node, vtime, None)
         pending, node.pending = node.pending, []
-        for src, accepted, sidx in pending:
-            self._apply_decision(node, src, accepted, sidx, vtime)
+        for k, accepted, sidx in pending:
+            self._apply_decision(node, k, accepted, sidx, vtime)
 
     def on_decision(self, dst: int, src: int, accepted: bool, sidx: int, vtime: float) -> None:
+        """Deliver src's decision on its update sidx to dst."""
         node = self.nodes[dst]
         self._record(vtime, "dec", src, dst, f"accept={int(accepted)} j={sidx}")
+        k = node.nbrs.index(src)
         if node.phase == 1:
             # queued until dst enters Phase II, processed in arrival order
-            node.pending.append((src, accepted, sidx))
+            node.pending.append((k, accepted, sidx))
             return
-        self._apply_decision(node, src, accepted, sidx, vtime)
+        self._apply_decision(node, k, accepted, sidx, vtime)
 
-    def _apply_decision(self, node: _Node, src: int, accepted: bool, sidx: int, vtime: float) -> None:
-        ju = node.j[src]
-        if ju > len(self.times_l[src]):
+    def _apply_decision(self, node: _Node, k: int, accepted: bool, sidx: int, vtime: float) -> None:
+        ju = node.j[k]
+        u = node.nbrs[k]
+        props_u = self.props_l[u]
+        if ju > len(props_u):
             raise SimulationInvariantError(
-                f"node {node.vid}: surplus decision from {src} (FIFO violation or duplicate delivery)"
+                f"node {node.vid}: surplus decision from {u} (FIFO violation or duplicate delivery)"
             )
         if sidx != ju:
             raise SimulationInvariantError(
-                f"node {node.vid}: decision from {src} out of order: expected ordinal {ju}, got {sidx}"
+                f"node {node.vid}: decision from {u} out of order: expected ordinal {ju}, got {sidx}"
             )
-        hist = node.hist[src]
-        hist.append(self.props_l[src][ju - 1] if accepted else hist[ju - 1])
-        node.j[src] = ju + 1
-        if node.done:
-            return  # terminated nodes keep folding decisions into history
-        self._refresh_neighbor(node, src)
-        self._cascade(node, vtime, (src, ju))
+        hist = node.hist[k]
+        hist.append(props_u[ju - 1] if accepted else hist[ju - 1])
+        node.j[k] = ju + 1
+        # terminated nodes keep folding decisions into history. So does a node
+        # whose set for u is pinned to the known hist[idx] (idx < ju), or whose
+        # refresh leaves the thresholds as they were: its last test was
+        # undecided and would stay so
+        if node.done or node.win[k][node.i - 1] < ju:
+            return
+        if self._refresh(node, k):
+            self._cascade(node, vtime, (u, ju))
 
-    def _begin_update(self, node: _Node) -> None:
-        i = node.i
-        node.t = node.times[i - 1]
-        node.c_new = node.proposals[i - 1]
-        node.beta = node.coins[i - 1]
-        for u in node.nbrs:
-            self._refresh_neighbor(node, u)
+    def _advance(self, node: _Node, vtime: float) -> None:
+        """Start the node's next update, or terminate the node after its last."""
+        if node.i == node.m:
+            node.done = True
+            node.term = vtime
+            self._record(vtime, "term", -1, node.vid, "")
+            return
+        node.i += 1
+        node.c_new, node.beta = node.proposals[node.i - 1], node.coins[node.i - 1]
+        for k in range(len(node.nbrs)):
+            self._refresh(node, k)
 
-    def _refresh_neighbor(self, node: _Node, u: int) -> None:
-        S = _possible_set(self.times_l[u], self.props_l[u], node.hist[u], node.j[u], u, node.t, node.vid)
-        if self.factor is None or self.paranoid:
-            node.S[u] = S
-        if self.factor is not None:
-            node.fmin[u], node.fmax[u] = edge_range(self.factor, node.vid, u, node.value, node.c_new, S)
+    def _refresh(self, node: _Node, k: int) -> bool:
+        """Recompute slot k's possible set and edge range. False when what
+        try_resolve reads of them is unchanged (always True under paranoid)."""
+        u = node.nbrs[k]
+        S = _possible_set(self.props_l[u], node.hist[k], node.j[k], node.win[k][node.i - 1])
+        factor = self.factor
+        if factor is None:
+            changed = S != node.S[k]
+            node.S[k] = S
+            return changed
+        node.S[k] = S
+        lo, hi = edge_range(factor, node.vid, u, node.value, node.c_new, S)
+        if lo == node.fmin[k] and hi == node.fmax[k]:
+            return self.paranoid
+        node.fmin[k] = lo
+        node.fmax[k] = hi
+        return True
 
     def try_resolve(self, node: _Node) -> bool | None:
         """Test the two resolution conditions, accept first; None = undecided."""
         if self.factor is not None:
-            # the first _begin_update fills fmin/fmax in adjacency order, so
-            # their values() multiply in the same order as the filter does
-            pac = capped_product(node.fmin.values())
-            acc_sup = capped_product(node.fmax.values())  # equals 1 - P_RE
-            if self.paranoid:
-                self._check_thresholds(node, pac, 1.0 - acc_sup)
+            # slot order is adjacency order, the order the filter multiplies in
+            pac = capped_product(node.fmin)
+            acc_sup = capped_product(node.fmax)  # equals 1 - P_RE
+            if self.paranoid:  # must equal enumeration on the live sets, bit for bit
+                expected = thresholds_bruteforce(self.model, node.vid, node.value, node.c_new, node.S)
+                if (pac, 1.0 - acc_sup) != expected:
+                    raise SimulationInvariantError(
+                        f"threshold mismatch at node {node.vid}, update {node.i}: engine (P_AC, P_RE) = "
+                        f"{(pac, 1.0 - acc_sup)}, enumeration {expected}, proposal {node.c_new}, sets {node.S}"
+                    )
         else:
-            pac, pre = thresholds_bruteforce(
-                self.model, node.vid, node.value, node.c_new, [node.S[u] for u in node.nbrs]
-            )
+            pac, pre = thresholds_bruteforce(self.model, node.vid, node.value, node.c_new, node.S)
             acc_sup = 1.0 - pre
         if node.beta < pac:
             return True
         if node.beta >= acc_sup:
             return False
         return None
-
-    def _check_thresholds(self, node: _Node, pac: float, pre: float) -> None:
-        # the incremental closed form must equal enumeration on the live sets, bit for bit
-        sets = [node.S[u] for u in node.nbrs]
-        expected = thresholds_bruteforce(self.model, node.vid, node.value, node.c_new, sets)
-        if (pac, pre) != expected:
-            raise SimulationInvariantError(
-                f"threshold mismatch at node {node.vid}, update {node.i}: engine (P_AC, P_RE) = "
-                f"{(pac, pre)}, enumeration {expected}, proposal {node.c_new}, sets {sets}"
-            )
 
     def _cascade(self, node: _Node, vtime: float, trigger: tuple[int, int] | None) -> None:
         while True:
@@ -515,33 +519,23 @@ class Simulation:
         if self.trace is not None:
             tpay = "self" if tid is None else f"{tid.node}:{tid.index}"
             self._record(vtime, "resolve", -1, node.vid, f"i={i} accept={int(accepted)} trigger={tpay}")
-        for u in node.nbrs:
-            self._send_decision(node.vid, u, accepted, i, vtime)
-        if i == node.m:
-            node.done = True
-            node.term = vtime
-            self._record(vtime, "term", -1, node.vid, "")
-        else:
-            node.i = i + 1
-            self._begin_update(node)
-
-    def _send_decision(self, src: int, dst: int, accepted: bool, idx: int, vtime: float) -> None:
-        ch = self.channels[(src, dst)]
-        deliver = vtime + self._delay(src, dst, "decision", ch.seq)
-        if deliver < ch.last_deliver:
-            # FIFO projection. Against an earlier decision this stays within
-            # one unit of the send (that decision was sent no later); it can
-            # exceed one unit only against the channel's Phase-I tail, which
-            # lands before the receiver enters Phase II, so the late delivery
-            # is absorbed by the receiver's pending queue and every delivery
-            # a Phase-II node actually reacts to took at most one unit.
-            deliver = ch.last_deliver
-        ch.last_deliver = deliver
-        heappush(self.heap, (deliver, src, dst, ch.seq, _DEC, accepted, idx))
-        ch.seq += 1
-        self.decision_messages += 1
-        self.total_bits += DECISION_BITS
-        self.max_message_bits = max(self.max_message_bits, DECISION_BITS)
+        # the decision on update i is the i-th on each channel, so i is its sequence number
+        const, src, last = self.const_delay, node.vid, node.out_last
+        for k, dst in enumerate(node.nbrs):
+            deliver = vtime + (const if const is not None else self._delay(src, dst, "decision", i))
+            if deliver < last[k]:
+                # FIFO projection. Against an earlier decision (sent no later) this
+                # stays within one unit of the send; only against the Phase-I tail,
+                # which lands before the receiver enters Phase II, can it exceed one
+                # unit, and the receiver's pending queue then absorbs the delay.
+                deliver = last[k]
+            last[k] = deliver
+            heappush(self.heap, (deliver, src, dst, i, accepted, node.rslot[k]))
+        if node.nbrs:
+            self.decision_messages += len(node.nbrs)
+            self.total_bits += len(node.nbrs) * DECISION_BITS
+            self.max_message_bits = max(self.max_message_bits, DECISION_BITS)
+        self._advance(node, vtime)
 
     # -- main loop -----------------------------------------------------------
 
@@ -553,19 +547,23 @@ class Simulation:
         for node in self.nodes:
             if not node.nbrs:
                 self.enter_phase2(node, 0.0)
-        heap = self.heap
+        heap, nodes, trace = self.heap, self.nodes, self.trace
+        apply_decision = self._apply_decision
         while heap:
-            vtime, src, dst, seq, kind, flag, aux = heappop(heap)
-            if kind == _INFO:
-                node = self.nodes[dst]
-                if self.trace is not None:
-                    bits, maxfrag = phase1_info_bits(self.model.n, self.schedule.T, self.model.q, aux - 1)
-                    self._record(vtime, "info", src, dst, f"frags={aux} bits={bits} maxfrag={maxfrag}")
+            vtime, src, dst, seq, accepted, k = heappop(heap)
+            node = nodes[dst]
+            if seq == 0:
+                if trace is not None:
+                    m_u = nodes[src].m
+                    bits, maxfrag = phase1_info_bits(self.model.n, self.schedule.T, self.model.q, m_u)
+                    self._record(vtime, "info", src, dst, f"frags={m_u + 1} bits={bits} maxfrag={maxfrag}")
                 node.info_pending -= 1
                 if node.info_pending == 0 and node.phase == 1:
                     self.enter_phase2(node, vtime)
+            elif trace is None and node.phase == 2:
+                apply_decision(node, k, accepted, seq, vtime)
             else:
-                self.on_decision(dst, src, bool(flag), aux, vtime)
+                self.on_decision(dst, src, accepted, seq, vtime)
         stuck = [nd for nd in self.nodes if not nd.done]
         if stuck:
             raise SimulationInvariantError(self._deadlock_dump(stuck))
@@ -577,13 +575,10 @@ class Simulation:
             if node.phase == 1:
                 lines.append(f"  node {node.vid}: still in Phase I ({node.info_pending} info pending)")
                 continue
-            sets = {
-                u: _possible_set(self.times_l[u], self.props_l[u], node.hist[u], node.j[u], u, node.t, node.vid)
-                for u in node.nbrs
-            }
             lines.append(
                 f"  node {node.vid}: update {node.i}/{node.m}, beta={node.beta!r}, "
-                f"proposal={node.c_new}, j={dict(node.j)}, possible states {sets}"
+                f"proposal={node.c_new}, j={dict(zip(node.nbrs, node.j))}, "
+                f"possible states {dict(zip(node.nbrs, node.S))}"
             )
         return "\n".join(lines)
 
@@ -629,9 +624,7 @@ def replay_trace(fh: IO[str]) -> tuple[RunStats, list[Resolution]]:
     entry: dict[int, float] = {}
     term: dict[int, float] = {}
     resolutions: list[Resolution] = []
-    phase1_messages = phase1_fragments = decision_messages = 0
-    total_bits = 0
-    max_bits = 0
+    phase1_messages = phase1_fragments = decision_messages = total_bits = max_bits = 0
     for lineno, line in enumerate(fh, start=1):
         parts = line.split()
         if not parts:

@@ -10,7 +10,7 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from .models import SpinModel, _SPIN
-from .schedule import UpdateSchedule, ordered_keys
+from .schedule import UpdateSchedule, draw_proposals, ordered_keys
 
 _EXACT_TABLE_LIMIT = 10**6
 
@@ -86,10 +86,9 @@ def run_discrete(
     adj = model.graph.adj
     filt = model._filter_raw
     cdfs = [np.cumsum(model.proposals[v]) for v in range(model.n)]
-    qm1 = model.q - 1
     for step in range(n_steps):
         v = int(rng.integers(model.n))
-        c_new = min(int(np.searchsorted(cdfs[v], rng.random(), side="right")), qm1)
+        c_new = int(draw_proposals(cdfs[v], rng.random(), model.q))
         tau = [cur[u] for u in adj[v]]
         if rng.random() < filt(v, cur[v], c_new, tau):
             cur[v] = c_new

@@ -9,7 +9,6 @@ randomness. The global processing order is the strict total order on
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import IO, NamedTuple
 
 import numpy as np
@@ -100,13 +99,16 @@ def generate(model: SpinModel, T: float, seed: int) -> UpdateSchedule:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), v)))
         t = _poisson_times(rng, float(T))
         m = len(t)
-        cdf = np.cumsum(model.proposals[v])
-        props = np.searchsorted(cdf, rng.random(m), side="right")
-        np.minimum(props, q - 1, out=props)  # guard against cdf tail rounding below 1
+        props = draw_proposals(np.cumsum(model.proposals[v]), rng.random(m), q)
         times.append(t)
         proposals.append(props.astype(np.int64))
         coins.append(rng.random(m))
     return UpdateSchedule(float(T), int(seed), n, q, times, proposals, coins)
+
+
+def draw_proposals(cdf, coins, q: int):
+    """Inverse-CDF proposal for each uniform coin, clipped to q - 1 against cdf tail rounding below 1."""
+    return np.minimum(np.searchsorted(cdf, coins, side="right"), q - 1)
 
 
 def order_key(schedule: UpdateSchedule, uid: UpdateId) -> tuple[float, int, int]:
@@ -130,15 +132,14 @@ def total_order(schedule: UpdateSchedule) -> list[UpdateId]:
     return [UpdateId(v, i) for _, v, i in ordered_keys(schedule)]
 
 
-def updates_before(times, u: int, t: float, querying_node: int) -> int:
+def updates_before(times, u: int, t, querying_node: int):
     """Count of node u's updates strictly before the order key (t, querying_node).
 
     Exact time ties across nodes break toward the smaller node id. This is the
     one place the tie-break is written out; order_key encodes the same rule.
+    t may be one time or an array of times (one count each).
     """
-    if u < querying_node:
-        return bisect_right(times, t)
-    return bisect_left(times, t)
+    return np.searchsorted(times, t, side="right" if u < querying_node else "left")
 
 
 def dump(schedule: UpdateSchedule, fh: IO[str]) -> None:

@@ -373,6 +373,23 @@ class TestCli:
         assert cli.main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: malformed config")
 
+    def test_percent_in_value_exits_2(self, tmp_path, capsys):
+        # with interpolation on, "%" would fail in a later lookup instead of at parsing
+        path = tmp_path / "pct.ini"
+        path.write_text(BASE_CONFIG.replace("seeds = 1:5", "seeds = 1:2%"))
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_fixed_policy_rejected(self, tmp_path, capsys):
+        # a config cannot give the fixed policy its table, so it would run all-unit delays
+        path = tmp_path / "fixed.ini"
+        path.write_text(BASE_CONFIG.replace("policies = synchronous, uniform", "policies = uniform, fixed"))
+        with pytest.raises(ConfigError, match="table"):
+            harness.load_config(path)
+        assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     @pytest.mark.parametrize("bad", ["0.5 info 1", "0.5 info 0 1 bits=3 maxfrag=2"],
                              ids=["too-few-fields", "missing-payload-key"])
     def test_malformed_trace_exits_2(self, tmp_path, capsys, bad):

@@ -9,6 +9,7 @@ import asyncmetro.netsim as netsim
 from asyncmetro import (
     FixedDelayScheduler,
     Graph,
+    Scheduler,
     Simulation,
     SimulationInvariantError,
     SpinModel,
@@ -27,6 +28,7 @@ from asyncmetro import (
     run_continuous,
     thresholds,
     thresholds_bruteforce,
+    updates_before,
 )
 from asyncmetro.netsim import phase1_init_bits, phase1_update_bits, replay_trace, write_trace
 from tests.test_schedule import make_manual
@@ -252,6 +254,7 @@ class TestEventLoopInternals:
         sim = Simulation(m, s, [0, 1], SynchronousScheduler())
         result = sim.execute()
         assert result.final.tolist() == [2, 1]
+        # j and hist are indexed by neighbor slot; node 0 is node 1's slot 0
         assert sim.nodes[1].j[0] == 2  # exactly one increment
         assert sim.nodes[1].hist[0] == [0, 2]
 
@@ -351,6 +354,78 @@ class TestExactTies:
                 phase2_residence(res, verify=True)
 
 
+class TestFastPaths:
+    @staticmethod
+    def _check_window_table(m, s):
+        sim = Simulation(m, s, [0] * m.n, SynchronousScheduler())
+        checked = 0
+        for v, node in enumerate(sim.nodes):
+            for k, u in enumerate(m.graph.adj[v]):
+                times_u = s.times[u].tolist()
+                assert len(node.win[k]) == len(s.times[v])
+                for i, t in enumerate(s.times[v].tolist(), start=1):
+                    want = updates_before(times_u, u, t, v)
+                    assert node.win[k][i - 1] == want, (v, u, i)
+                    # the same count from the (time, node id) order directly
+                    assert want == sum((tu, u) < (t, v) for tu in times_u)
+                    checked += 1
+        return checked
+
+    def test_window_table_matches_updates_before(self):
+        rng = np.random.default_rng(21)
+        checked = 0
+        for _ in range(20):
+            m, s, _ = _coupling_case(rng)
+            checked += self._check_window_table(m, s)
+        assert checked > 0
+
+    def test_window_table_on_exact_ties(self):
+        grid = np.array([0.25, 0.5, 0.75, 1.0, 1.5])
+        rng = np.random.default_rng(22)
+        checked = 0
+        for _ in range(50):
+            n = int(rng.integers(2, 8))
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+            times = [grid[rng.random(len(grid)) < 0.6] for _ in range(n)]
+            checked += self._check_window_table(make_coloring(g, 3), make_manual(2.0, times, q=3))
+        assert checked > 0
+
+    @pytest.mark.parametrize("make", [
+        lambda g: make_coloring(g, 4), lambda g: make_hardcore(g, 1.3), lambda g: make_ising(g, 0.6),
+    ], ids=["coloring", "hardcore", "ising"])
+    def test_constant_delay_matches_per_message_path(self, make):
+        # FixedDelayScheduler asks delay() for every message; SynchronousScheduler
+        # declares constant_delay and is never asked
+        class Unasked(SynchronousScheduler):
+            def delay(self, src, dst, kind, seq):
+                raise AssertionError("delay() called under a constant_delay")
+
+        m = make(Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 3), (2, 5)]))
+        y0 = [0] * m.n
+        for seed in range(5):
+            s = generate(m, 6.0, seed)
+            generic = run(m, s, y0, FixedDelayScheduler(default=1.0), collect_trace=True)
+            const = run(m, s, y0, Unasked(), collect_trace=True)
+            assert np.array_equal(generic.final, const.final)
+            assert generic.stats.same_as(const.stats)
+            assert generic.resolutions == const.resolutions
+            texts = []
+            for res in (generic, const):
+                buf = io.StringIO()
+                write_trace(res.trace, buf)
+                texts.append(buf.getvalue())
+            assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("bad", [0.0, 1.5])
+    def test_constant_delay_outside_unit_interval_rejected(self, bad):
+        class Bad(Scheduler):
+            constant_delay = bad
+
+        m = make_coloring(path_graph(2), 3)
+        with pytest.raises(ValueError, match="constant_delay"):
+            Simulation(m, generate(m, 1.0, 1), [0, 1], Bad())
+
+
 class TestColoringSpecialization:
     def test_threshold_values_are_boolean(self):
         rng = np.random.default_rng(6)
@@ -369,26 +444,27 @@ class TestColoringSpecialization:
 
 
 class TestDeliveryBounds:
-    def test_phase2_deliveries_take_at_most_one_unit(self, monkeypatch):
+    def test_phase2_deliveries_take_at_most_one_unit(self):
         # the FIFO projection may hold a decision behind the channel's
         # Phase-I fragment tail, but only while the receiver is still in
         # Phase I; every delivery a Phase-II node reacts to is within one unit
-        sends = []
-        orig_send = Simulation._send_decision
-
-        def spy_send(self, src, dst, accepted, idx, vtime):
-            orig_send(self, src, dst, accepted, idx, vtime)
-            sends.append((dst, vtime, self.channels[(src, dst)].last_deliver))
-
-        monkeypatch.setattr(Simulation, "_send_decision", spy_send)
         rng = np.random.default_rng(77)
         for _ in range(10):
-            sends.clear()
             m, s, y0 = _coupling_case(rng)
-            res = run(m, s, y0, make_scheduler("uniform", seed=5))
-            for dst, send, deliver in sends:
-                if deliver - send > 1.0 + 1e-12:
-                    assert deliver <= res.stats.entry_times[dst] + 1e-12
+            res = run(m, s, y0, make_scheduler("uniform", seed=5), collect_trace=True)
+            # a decision leaves when its update resolves and arrives as the
+            # receiver's "dec" event carrying the same update ordinal j
+            sent, deliveries = {}, 0
+            for vtime, kind, src, dst, payload in res.trace:
+                fields = dict(p.split("=") for p in payload.split())
+                if kind == "resolve":
+                    sent[dst, fields["i"]] = vtime
+                elif kind == "dec":
+                    send = sent[src, fields["j"]]
+                    deliveries += 1
+                    if vtime - send > 1.0 + 1e-12:
+                        assert vtime <= res.stats.entry_times[dst] + 1e-12
+            assert deliveries == res.stats.decision_messages
 
 
 class TestTraceReplay:
