@@ -48,7 +48,6 @@ from .netsim import (
     thresholds_bruteforce,
 )
 from .instrument import (
-    DependencyRecord,
     ResidenceReport,
     chain_lengths,
     chain_of,

@@ -332,10 +332,11 @@ def fit_log_n(ns, ys) -> tuple[float, float, float, list[float]]:
 
 
 def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
+    """Process-pool size from the environment; ConfigError unless a positive integer."""
+    raw = os.environ.get(WORKERS_ENV, "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _map_cells(fn, cells: list, workers: int | None, chunksize: int) -> list:

@@ -7,68 +7,85 @@ live node state, so instrumenting a run cannot perturb the protocol. Chain
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import IO
 
 import numpy as np
 
-from .netsim import SimulationInvariantError, SimulationResult
-from .schedule import UpdateId, UpdateSchedule, order_key
+from .netsim import Resolution, SimulationInvariantError, SimulationResult
+from .schedule import UpdateId, UpdateSchedule, precedes
 
 
-@dataclass(frozen=True)
-class DependencyRecord:
-    """How one update got resolved: trigger is None for a self-triggered
-    resolution, else the adjacent (or own-previous) update whose decision
-    fired the resolution condition."""
-
-    update: UpdateId
-    trigger: UpdateId | None
-    resolve_vtime: float
-    accepted: bool
+def _update_at(starts: list[int], pos: int) -> UpdateId:
+    v = max(u for u in range(len(starts) - 1) if starts[u] <= pos)
+    return UpdateId(v, pos - starts[v] + 1)
 
 
-def record_trigger(result: SimulationResult) -> dict[UpdateId, DependencyRecord]:
-    """Per-update dependency records for a completed run.
+def _predecessor(res: Resolution) -> tuple[int, int] | None:
+    """(node, index) of the update before res on its chain: its trigger, else its node's previous update."""
+    if res.trigger is not None:
+        return res.trigger
+    return (res.node, res.index - 1) if res.index > 1 else None
 
-    Validates completeness (every scheduled update resolved exactly once) and
-    that each trigger precedes its update in the (time, node) order.
+
+def _check_precedes(schedule: UpdateSchedule, starts: list[int], earlier, later) -> None:
+    """Raise unless the update at position earlier[k] precedes the one at later[k], for every k."""
+    bad = np.flatnonzero(~precedes(schedule, earlier, later))
+    if len(bad):
+        first, second = _update_at(starts, earlier[bad[0]]), _update_at(starts, later[bad[0]])
+        raise SimulationInvariantError(f"trigger {first} does not precede {second} in the (time, node) order")
+
+
+def chain_lengths(result: SimulationResult) -> np.ndarray:
+    """Length of the dependency chain ending at every update, in (node, index) order.
+
+    One pass over result.resolutions, whose order is causal: the engine records
+    a resolution after its predecessor's. The pass is also the one check of the
+    records: each names a scheduled update, none twice and none missing, each
+    predecessor comes earlier, and each trigger precedes its update.
     """
     schedule = result.schedule
-    records: dict[UpdateId, DependencyRecord] = {}
+    n, counts = schedule.n, schedule.counts
+    starts = [0, *accumulate(counts)]  # position of each node's first update
+    lengths = [0] * starts[-1]
+    earlier, later = [], []  # positions of the triggers, and of the updates they fired
     for res in result.resolutions:
-        uid = UpdateId(res.node, res.index)
-        if uid in records:
-            raise SimulationInvariantError(f"update {uid} resolved twice")
-        records[uid] = DependencyRecord(uid, res.trigger, res.vtime, res.accepted)
-    for v in range(schedule.n):
-        for i in range(1, len(schedule.times[v]) + 1):
-            if UpdateId(v, i) not in records:
-                raise SimulationInvariantError(f"update ({v},{i}) missing from the trace")
-    for rec in records.values():
-        if rec.trigger is not None:
-            _check_precedes(schedule, rec.trigger, rec.update)
-    return records
+        v, i = res.node, res.index
+        if not (0 <= v < n and 0 < i <= counts[v]):
+            raise SimulationInvariantError(f"resolution of unscheduled update ({v},{i})")
+        pos = starts[v] + i - 1
+        if lengths[pos]:
+            raise SimulationInvariantError(f"update {UpdateId(v, i)} resolved twice")
+        pred = _predecessor(res)
+        if pred is None:
+            lengths[pos] = 1
+            continue
+        u, k = pred
+        # an unscheduled predecessor reads the still empty entry of pos
+        ppos = starts[u] + k - 1 if 0 <= u < n and 0 < k <= counts[u] else pos
+        if not lengths[ppos]:
+            raise SimulationInvariantError(
+                f"update {UpdateId(v, i)} recorded before its predecessor ({u},{k}) (causal order)"
+            )
+        lengths[pos] = lengths[ppos] + 1
+        if res.trigger is not None:
+            earlier.append(ppos)
+            later.append(pos)
+    if 0 in lengths:
+        raise SimulationInvariantError("update (%d,%d) missing from the trace" % _update_at(starts, lengths.index(0)))
+    _check_precedes(schedule, starts, earlier, later)
+    return np.array(lengths, dtype=np.int64)
 
 
-def _check_precedes(schedule: UpdateSchedule, first: UpdateId, second: UpdateId) -> None:
-    if order_key(schedule, first) >= order_key(schedule, second):
-        raise SimulationInvariantError(
-            f"trigger {first} does not precede {second} in the (time, node) order"
-        )
-
-
-def _predecessor(records: dict[UpdateId, DependencyRecord], uid: UpdateId) -> UpdateId | None:
-    """Previous update on uid's dependency chain: its trigger, else its node's previous update."""
-    trigger = records[uid].trigger
-    if trigger is not None:
-        return trigger
-    return UpdateId(uid.node, uid.index - 1) if uid.index > 1 else None
+def record_trigger(result: SimulationResult) -> dict[UpdateId, Resolution]:
+    """Resolution record of every update, keyed by update, after the checks of chain_lengths."""
+    chain_lengths(result)
+    return {UpdateId(res.node, res.index): res for res in result.resolutions}
 
 
 def chain_of(
-    records: dict[UpdateId, DependencyRecord],
+    records: dict[UpdateId, Resolution],
     target: UpdateId,
     schedule: UpdateSchedule | None = None,
 ) -> list[UpdateId]:
@@ -82,42 +99,18 @@ def chain_of(
     if target not in records:
         raise KeyError(f"no record for update {target}")
     seq: list[UpdateId] = []
-    cur: UpdateId | None = target
-    limit = len(records)
+    cur: tuple[int, int] | None = target
     while cur is not None:
-        if len(seq) >= limit + 1:
+        if len(seq) > len(records):
             raise SimulationInvariantError(f"dependency chain at {target} has a cycle")
-        seq.append(cur)
-        cur = _predecessor(records, cur)
+        seq.append(UpdateId(*cur))
+        cur = _predecessor(records[cur])
     seq.reverse()
     if schedule is not None:
-        for a, b in zip(seq, seq[1:]):
-            _check_precedes(schedule, a, b)
+        starts = [0, *accumulate(schedule.counts)]
+        pos = [starts[v] + i - 1 for v, i in seq]
+        _check_precedes(schedule, starts, pos[:-1], pos[1:])
     return seq
-
-
-def chain_lengths(records: dict[UpdateId, DependencyRecord]) -> dict[UpdateId, int]:
-    """Length of the dependency chain ending at every recorded update."""
-    lengths: dict[UpdateId, int] = {}
-    for uid in records:
-        if uid in lengths:
-            continue
-        stack = [uid]
-        while stack:
-            cur = stack[-1]
-            if cur in lengths:
-                stack.pop()
-                continue
-            pred = _predecessor(records, cur)
-            if pred is None:
-                lengths[cur] = 1
-                stack.pop()
-            elif pred in lengths:
-                lengths[cur] = lengths[pred] + 1
-                stack.pop()
-            else:
-                stack.append(pred)
-    return lengths
 
 
 @dataclass
@@ -138,27 +131,20 @@ def phase2_residence(result: SimulationResult, verify: bool = True) -> Residence
     termination (clamped at 0). With verify=True the running-time bound
     ceil(R_v) <= len(chain of (v, m_v)) is asserted for every node.
     """
-    records = record_trigger(result)
-    lengths = chain_lengths(records)
-    schedule = result.schedule
-    n = schedule.n
-    chain_len = np.zeros(n, dtype=np.int64)
-    for v in range(n):
-        m_v = len(schedule.times[v])
-        if m_v:
-            chain_len[v] = lengths[UpdateId(v, m_v)]
+    counts = np.array(result.schedule.counts, dtype=np.int64)
+    # a node's last update sits at position cumsum - 1, so at cumsum after a leading 0
+    chain_len = np.where(counts > 0, np.append(0, chain_lengths(result))[np.cumsum(counts)], 0)
     residence = result.stats.residence
     if verify:
-        for v in range(n):
-            if math.ceil(residence[v]) > chain_len[v]:
-                raise SimulationInvariantError(
-                    f"node {v}: residence {residence[v]} exceeds chain length {chain_len[v]}"
-                )
+        bad = np.flatnonzero(np.ceil(residence) > chain_len)
+        if len(bad):
+            v = bad[0]
+            raise SimulationInvariantError(f"node {v}: residence {residence[v]} exceeds chain length {chain_len[v]}")
     return ResidenceReport(
         residence=residence,
         chain_length=chain_len,
-        max_residence=float(residence.max()) if n else 0.0,
-        max_chain_length=int(chain_len.max()) if n else 0,
+        max_residence=float(residence.max(initial=0.0)),  # R_v >= 0
+        max_chain_length=int(chain_len.max(initial=0)),
     )
 
 

@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, fields
 from heapq import heapify, heappop, heappush
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -233,8 +233,7 @@ def thresholds_bruteforce(
 # ---------------------------------------------------------------------------
 # run records
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(NamedTuple):
     """One resolved update, with what triggered it (None = self-triggered)."""
 
     node: int
@@ -416,8 +415,11 @@ class Simulation:
     def on_decision(self, dst: int, src: int, accepted: bool, sidx: int, vtime: float) -> None:
         """Deliver src's decision on its update sidx to dst."""
         node = self.nodes[dst]
-        self._record(vtime, "dec", src, dst, f"accept={int(accepted)} j={sidx}")
-        k = node.nbrs.index(src)
+        self._deliver(node, node.nbrs.index(src), accepted, sidx, vtime)
+
+    def _deliver(self, node: _Node, k: int, accepted: bool, sidx: int, vtime: float) -> None:
+        """Trace the decision of the neighbor in slot k, then queue it (Phase I) or apply it."""
+        self._record(vtime, "dec", node.nbrs[k], node.vid, f"accept={int(accepted)} j={sidx}")
         if node.phase == 1:
             # queued until dst enters Phase II, processed in arrival order
             node.pending.append((k, accepted, sidx))
@@ -563,7 +565,7 @@ class Simulation:
             elif trace is None and node.phase == 2:
                 apply_decision(node, k, accepted, seq, vtime)
             else:
-                self.on_decision(dst, src, accepted, seq, vtime)
+                self._deliver(node, k, accepted, seq, vtime)
         stuck = [nd for nd in self.nodes if not nd.done]
         if stuck:
             raise SimulationInvariantError(self._deadlock_dump(stuck))

@@ -116,6 +116,16 @@ def order_key(schedule: UpdateSchedule, uid: UpdateId) -> tuple[float, int, int]
     return (float(schedule.times[uid.node][uid.index - 1]), uid.node, uid.index)
 
 
+def precedes(schedule: UpdateSchedule, first, second) -> np.ndarray:
+    """order_key(first) < order_key(second), elementwise over two arrays of
+    updates, each given by its position in (node, index) order."""
+    first, second = np.asarray(first, dtype=np.int64), np.asarray(second, dtype=np.int64)
+    times, node = np.concatenate([*schedule.times, []]), np.repeat(np.arange(schedule.n), schedule.counts)
+    t1, t2, v1, v2 = times[first], times[second], node[first], node[second]
+    # within one node, position order is index order
+    return (t1 < t2) | ((t1 == t2) & ((v1 < v2) | ((v1 == v2) & (first < second))))
+
+
 def ordered_keys(schedule: UpdateSchedule) -> list[tuple[float, int, int]]:
     """order_key of every update, sorted; times stay Python floats."""
     keyed = [

@@ -397,3 +397,28 @@ class TestCli:
         trace.write_text(f"0.0 enter -1 0\n{bad}\n")
         assert cli.main(["replay-trace", str(trace)]) == 2
         assert "trace line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    @pytest.mark.parametrize("command", ["sweep", "tv-test"])
+    def test_bad_worker_count_exits_2(self, tmp_path, capsys, monkeypatch, command, value):
+        # only values that start no pool
+        path = tmp_path / "w.ini"
+        path.write_text(
+            "[model]\nkind = hardcore\nlambda = 1.0\n\n"
+            "[graph]\nkind = cycle\nn = 3\n\n"
+            "[chain]\nT = 1\ny0 = zeros\n\n"
+            "[scheduler]\npolicies = synchronous\n\n"
+            "[experiment]\nseeds = 1:2\nruns = 5\nn_grid = 3, 4\n"
+        )
+        monkeypatch.setenv(harness.WORKERS_ENV, value)
+        with pytest.raises(ConfigError, match=harness.WORKERS_ENV):
+            harness.worker_count()
+        assert cli.main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert harness.WORKERS_ENV in err and "Traceback" not in err
+
+    def test_worker_count_reads_environment(self, monkeypatch):
+        monkeypatch.delenv(harness.WORKERS_ENV, raising=False)
+        assert harness.worker_count() == 1
+        monkeypatch.setenv(harness.WORKERS_ENV, "2")
+        assert harness.worker_count() == 2

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from asyncmetro import (
+    FixedDelayScheduler,
     Graph,
+    Resolution,
     SimulationInvariantError,
     SynchronousScheduler,
     UpdateId,
@@ -18,6 +20,7 @@ from asyncmetro import (
     greedy_coloring,
     make_coloring,
     make_hardcore,
+    make_ising,
     make_scheduler,
     path_graph,
     phase2_residence,
@@ -90,7 +93,7 @@ class TestRecordTrigger:
             for rec in records.values():
                 if rec.trigger is not None:
                     tu, ti = rec.trigger
-                    vu, vi = rec.update
+                    vu, vi = rec.node, rec.index
                     key_t = (float(s.times[tu][ti - 1]), tu)
                     key_v = (float(s.times[vu][vi - 1]), vu)
                     assert key_t < key_v
@@ -110,9 +113,84 @@ class TestRecordTrigger:
             record_trigger(res)
 
 
+def _reference_lengths(res):
+    """len(chain_of(...)) of every update, in (node, index) order."""
+    records = record_trigger(res)
+    s = res.schedule
+    return [len(chain_of(records, UpdateId(v, i), schedule=s))
+            for v in range(s.n) for i in range(1, s.counts[v] + 1)]
+
+
+class TestChainLengths:
+    @staticmethod
+    def _random_case(rng, k, grid=None):
+        n = int(rng.integers(0, 9))
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+        m = (make_coloring(g, int(rng.integers(2, 5))), make_hardcore(g, 1.2),
+             make_ising(g, float(rng.normal())))[k % 3]
+        if grid is None:
+            s = generate(m, float(rng.random() * 4), int(rng.integers(10**6)))
+        else:
+            # exact ties between nodes, and some nodes with no update at all
+            times = [grid[rng.random(len(grid)) < 0.5] for _ in range(n)]
+            s = make_manual(2.0, times, q=m.q,
+                            proposals=[rng.integers(0, m.q, len(t)) for t in times],
+                            coins=[rng.random(len(t)) for t in times])
+        table = {(u, v): float(1.0 - rng.random()) for u in range(n) for v in g.adj[u]}
+        schedulers = (SynchronousScheduler(), make_scheduler("uniform", seed=k),
+                      FixedDelayScheduler(default=0.5, table=table))
+        return m, s, rng.integers(0, m.q, n), schedulers
+
+    def test_matches_chain_of_on_random_runs(self):
+        rng = np.random.default_rng(41)
+        grid = np.array([0.25, 0.5, 0.75, 1.0, 1.5])
+        seen_empty_node = seen_empty_graph = False
+        for k in range(60):
+            m, s, y0, schedulers = self._random_case(rng, k, grid if k % 2 else None)
+            seen_empty_graph |= s.n == 0
+            seen_empty_node |= 0 in s.counts
+            for scheduler in schedulers:
+                res = run(m, s, y0, scheduler)
+                lengths = chain_lengths(res)
+                assert lengths.dtype == np.int64
+                assert lengths.tolist() == _reference_lengths(res), (k, m.kind)
+        assert seen_empty_graph and seen_empty_node
+
+    def test_trigger_moved_after_its_dependent_raises(self):
+        m, s, y0 = alternating_fixture()
+        res = run(m, s, y0, make_scheduler("adversarial-max"))
+        uids = [(r.node, r.index) for r in res.resolutions]
+        dependent = next(k for k, r in enumerate(res.resolutions) if r.trigger is not None)
+        trigger = uids.index(tuple(res.resolutions[dependent].trigger))
+        res.resolutions.insert(dependent, res.resolutions.pop(trigger))
+        with pytest.raises(SimulationInvariantError, match="causal order"):
+            chain_lengths(res)
+
+    @pytest.mark.parametrize("times", [[[0.2], [0.6]], [[0.5], [0.5]]], ids=["earlier-time", "tie"])
+    def test_trigger_not_preceding_its_update_raises(self, times):
+        # two isolated nodes, list reversed: node 1's record first. Editing
+        # node 0's record to name node 1's update as trigger keeps causal list
+        # order, but node 1's update comes later in (time, node, index) order
+        # (on a time tie through the node id alone)
+        m = make_coloring(empty_graph(2), 3)
+        res = run(m, make_manual(1.0, times, q=3), [0, 0], SynchronousScheduler())
+        res.resolutions.reverse()
+        chain_lengths(res)
+        res.resolutions[1] = res.resolutions[1]._replace(trigger=UpdateId(1, 1))
+        with pytest.raises(SimulationInvariantError, match="does not precede"):
+            chain_lengths(res)
+
+    def test_unscheduled_update_raises(self):
+        m, s, y0 = alternating_fixture()
+        res = run(m, s, y0, SynchronousScheduler())
+        res.resolutions.append(res.resolutions[0]._replace(index=3))
+        with pytest.raises(SimulationInvariantError, match="unscheduled"):
+            chain_lengths(res)
+
+
 class TestChainOf:
     def test_first_update_self_triggered_is_base_case(self):
-        records = {UpdateId(0, 1): instrument.DependencyRecord(UpdateId(0, 1), None, 0.0, True)}
+        records = {UpdateId(0, 1): Resolution(0, 1, True, 0.0, None)}
         assert chain_of(records, UpdateId(0, 1)) == [UpdateId(0, 1)]
 
     def test_self_triggered_chain_walks_own_updates(self):
@@ -131,9 +209,9 @@ class TestChainOf:
         records = record_trigger(res)
         chain = chain_of(records, UpdateId(1, 2), schedule=s)
         assert chain == [UpdateId(0, 1), UpdateId(1, 1), UpdateId(0, 2), UpdateId(1, 2)]
-        lengths = chain_lengths(records)
-        assert lengths[UpdateId(1, 2)] == 4
-        assert lengths[UpdateId(0, 2)] == 3
+        lengths = chain_lengths(res)  # (node, index) order: (0,1) (0,2) (1,1) (1,2)
+        assert lengths[3] == 4
+        assert lengths[1] == 3
 
     def test_unknown_target_rejected(self):
         with pytest.raises(KeyError):

@@ -114,6 +114,20 @@ class TestTotalOrder:
         assert total_order(s) == [UpdateId(3, 1), UpdateId(7, 1)]
         assert [sched_mod.order_key(s, uid) for uid in total_order(s)] == sched_mod.ordered_keys(s)
 
+    def test_precedes_matches_order_key(self):
+        # every ordered pair of updates, on generated schedules and on exact-tie grids
+        grid = np.array([0.25, 0.5, 0.75, 1.0])
+        rng = np.random.default_rng(31)
+        schedules = [generate(make_coloring(empty_graph(5), 3), 3.0, seed) for seed in range(3)]
+        schedules += [make_manual(2.0, [grid[rng.random(4) < 0.6] for _ in range(5)]) for _ in range(10)]
+        schedules.append(make_manual(1.0, []))
+        for s in schedules:
+            uids = [UpdateId(v, i) for v in range(s.n) for i in range(1, s.counts[v] + 1)]
+            first, second = np.divmod(np.arange(len(uids) ** 2), max(len(uids), 1))
+            want = [sched_mod.order_key(s, uids[a]) < sched_mod.order_key(s, uids[b])
+                    for a, b in zip(first.tolist(), second.tolist())]
+            assert sched_mod.precedes(s, first, second).tolist() == want
+
     def test_restriction_to_one_node_is_index_order(self):
         m = make_coloring(empty_graph(4), 3)
         s = generate(m, 30.0, 5)
