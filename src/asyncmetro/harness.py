@@ -108,8 +108,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
             T = float(c["T"])
         except KeyError:
             raise ConfigError("[chain] needs T (or steps_per_node)") from None
-    if T < 0:
-        raise ConfigError(f"[chain] T must be >= 0, got {T}")
+    if not 0 <= T < math.inf:
+        raise ConfigError(f"[chain] T must be finite and >= 0, got {T}")
 
     y0_policy = c.get("y0", "default").strip().lower()
     y0_values = None
@@ -150,6 +150,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     )
     if not cfg.seeds:
         raise ConfigError("no seeds configured")
+    if cfg.runs < 1:
+        raise ConfigError(f"[experiment] runs must be >= 1, got {cfg.runs}")
     return cfg
 
 
@@ -226,12 +228,11 @@ def run_one(
     cfg: ExperimentConfig,
     seed: int,
     policy: str,
-    n_override: int | None = None,
     collect_trace: bool = False,
     cell: tuple[SpinModel, np.ndarray] | None = None,
 ) -> tuple[netsim.SimulationResult, instrument.ResidenceReport, SpinModel]:
     """One seeded run; cell is build_cell's (model, y0), built here when None."""
-    model, y0 = cell if cell is not None else build_cell(cfg, n_override)
+    model, y0 = cell if cell is not None else build_cell(cfg)
     sch = sched.generate(model, cfg.T, seed)
     scheduler = _scheduler_for(policy, cfg, seed)
     result = netsim.run(model, sch, y0, scheduler, collect_trace=collect_trace)
@@ -256,14 +257,7 @@ def cmd_run(cfg: ExperimentConfig, out: IO[str], finals_out: IO[str] | None = No
     return 0
 
 
-def compare_with_oracle(
-    model: SpinModel, sch: sched.UpdateSchedule, y0, result: netsim.SimulationResult
-) -> tuple[int, int, int] | None:
-    """First mismatching coordinate against the sequential chain, or None."""
-    return _first_mismatch(oracle.run_continuous(model, sch, y0).final, result.final)
-
-
-def _first_mismatch(expected, got) -> tuple[int, int, int] | None:
+def first_mismatch(expected, got) -> tuple[int, int, int] | None:
     """(node, expected state, got state) at the first differing node, or None."""
     for v in range(len(expected)):
         if expected[v] != got[v]:
@@ -279,7 +273,7 @@ def cmd_verify_coupling(cfg: ExperimentConfig, out: IO[str]) -> int:
         expected = oracle.run_continuous(model, sch, y0).final
         for policy in cfg.scheduler_policies:
             scheduler = _scheduler_for(policy, cfg, seed)
-            mismatch = _first_mismatch(expected, netsim.run(model, sch, y0, scheduler).final)
+            mismatch = first_mismatch(expected, netsim.run(model, sch, y0, scheduler).final)
             if mismatch is not None:
                 v, want, got = mismatch
                 out.write(f"MISMATCH seed={seed} scheduler={policy} node={v} expected={want} got={got}\n")
@@ -299,11 +293,13 @@ def _tv_cell(args) -> tuple[int, ...]:
 def empirical_tv(cfg: ExperimentConfig, runs: int | None = None, workers: int | None = None) -> tuple[float, int]:
     """TV distance between simulated final configurations over fresh seeds and
     the exhaustive distribution."""
+    runs = runs if runs is not None else cfg.runs
+    if runs < 1:
+        raise ConfigError(f"need at least one run, got {runs}")
     model = build_model(cfg, build_graph(cfg))
     if model.q ** model.n > 10**6:
         raise ConfigError(f"state space too large for exact comparison: {model.q}^{model.n}")
     exact = oracle.exact_distribution(model)
-    runs = runs if runs is not None else cfg.runs
     seeds = [cfg.seeds[0] + k for k in range(runs)]
     counts = Counter(_map_cells(_tv_cell, [(cfg, s) for s in seeds], workers, chunksize=64))
     empirical = {k: c / runs for k, c in counts.items()}
@@ -350,7 +346,7 @@ def _map_cells(fn, cells: list, workers: int | None, chunksize: int) -> list:
 
 def _sweep_cell(args) -> tuple[int, int, float, float, float, int, int, int]:
     cfg, n, seed = args
-    result, report, model = run_one(cfg, seed, cfg.scheduler_policies[0], n_override=n)
+    result, report, model = run_one(cfg, seed, cfg.scheduler_policies[0], cell=build_cell(cfg, n))
     return (
         n,
         seed,

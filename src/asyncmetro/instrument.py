@@ -8,18 +8,12 @@ live node state, so instrumenting a run cannot perturb the protocol. Chain
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import IO
 
 import numpy as np
 
 from .netsim import Resolution, SimulationInvariantError, SimulationResult
-from .schedule import UpdateId, UpdateSchedule, precedes
-
-
-def _update_at(starts: list[int], pos: int) -> UpdateId:
-    v = max(u for u in range(len(starts) - 1) if starts[u] <= pos)
-    return UpdateId(v, pos - starts[v] + 1)
+from .schedule import UpdateId, UpdateSchedule
 
 
 def _predecessor(res: Resolution) -> tuple[int, int] | None:
@@ -29,11 +23,12 @@ def _predecessor(res: Resolution) -> tuple[int, int] | None:
     return (res.node, res.index - 1) if res.index > 1 else None
 
 
-def _check_precedes(schedule: UpdateSchedule, starts: list[int], earlier, later) -> None:
+def _check_precedes(schedule: UpdateSchedule, earlier: list[int], later: list[int]) -> None:
     """Raise unless the update at position earlier[k] precedes the one at later[k], for every k."""
-    bad = np.flatnonzero(~precedes(schedule, earlier, later))
+    rank = schedule.rank
+    bad = np.flatnonzero(rank[np.array(earlier, dtype=np.intp)] >= rank[np.array(later, dtype=np.intp)])
     if len(bad):
-        first, second = _update_at(starts, earlier[bad[0]]), _update_at(starts, later[bad[0]])
+        first, second = schedule.update_at(earlier[bad[0]]), schedule.update_at(later[bad[0]])
         raise SimulationInvariantError(f"trigger {first} does not precede {second} in the (time, node) order")
 
 
@@ -46,9 +41,8 @@ def chain_lengths(result: SimulationResult) -> np.ndarray:
     predecessor comes earlier, and each trigger precedes its update.
     """
     schedule = result.schedule
-    n, counts = schedule.n, schedule.counts
-    starts = [0, *accumulate(counts)]  # position of each node's first update
-    lengths = [0] * starts[-1]
+    n, counts, starts = schedule.n, schedule.counts, schedule.starts
+    lengths = [0] * schedule.total_updates
     earlier, later = [], []  # positions of the triggers, and of the updates they fired
     for res in result.resolutions:
         v, i = res.node, res.index
@@ -73,8 +67,8 @@ def chain_lengths(result: SimulationResult) -> np.ndarray:
             earlier.append(ppos)
             later.append(pos)
     if 0 in lengths:
-        raise SimulationInvariantError("update (%d,%d) missing from the trace" % _update_at(starts, lengths.index(0)))
-    _check_precedes(schedule, starts, earlier, later)
+        raise SimulationInvariantError("update (%d,%d) missing from the trace" % schedule.update_at(lengths.index(0)))
+    _check_precedes(schedule, earlier, later)
     return np.array(lengths, dtype=np.int64)
 
 
@@ -107,9 +101,8 @@ def chain_of(
         cur = _predecessor(records[cur])
     seq.reverse()
     if schedule is not None:
-        starts = [0, *accumulate(schedule.counts)]
-        pos = [starts[v] + i - 1 for v, i in seq]
-        _check_precedes(schedule, starts, pos[:-1], pos[1:])
+        pos = [schedule.starts[v] + i - 1 for v, i in seq]
+        _check_precedes(schedule, pos[:-1], pos[1:])
     return seq
 
 
@@ -131,9 +124,10 @@ def phase2_residence(result: SimulationResult, verify: bool = True) -> Residence
     termination (clamped at 0). With verify=True the running-time bound
     ceil(R_v) <= len(chain of (v, m_v)) is asserted for every node.
     """
-    counts = np.array(result.schedule.counts, dtype=np.int64)
-    # a node's last update sits at position cumsum - 1, so at cumsum after a leading 0
-    chain_len = np.where(counts > 0, np.append(0, chain_lengths(result))[np.cumsum(counts)], 0)
+    lengths, schedule = chain_lengths(result), result.schedule
+    # node v's last update sits just before the next node's first
+    chain_len = np.array([lengths[end - 1] if m else 0 for m, end in zip(schedule.counts, schedule.starts[1:])],
+                         dtype=np.int64)
     residence = result.stats.residence
     if verify:
         bad = np.flatnonzero(np.ceil(residence) > chain_len)

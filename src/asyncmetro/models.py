@@ -67,8 +67,8 @@ class SpinModel:
         proposals = np.asarray(proposals, dtype=float)
         if proposals.shape != (graph.n, q):
             raise ValueError(f"proposals must have shape ({graph.n}, {q}), got {proposals.shape}")
-        if np.any(proposals < 0.0):
-            raise ValueError("proposal probabilities must be >= 0")
+        if not np.all(proposals >= 0.0):  # inf fails the row sum below
+            raise ValueError("proposal probabilities must be >= 0 and not NaN")
         sums = proposals.sum(axis=1)
         if graph.n and np.max(np.abs(sums - 1.0)) > _PROPOSAL_SUM_TOL:
             bad = int(np.argmax(np.abs(sums - 1.0)))
@@ -156,8 +156,8 @@ def make_hardcore(graph: Graph, lam: float) -> SpinModel:
     States: 0 unoccupied, 1 occupied. Proposals nu(0) = 1/(1+lam),
     nu(1) = lam/(1+lam); factor 1[b + c' <= 1].
     """
-    if not lam >= 0.0:
-        raise ValueError(f"fugacity must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"fugacity must be finite and >= 0, got {lam}")
     proposals = np.tile([1.0 / (1.0 + lam), lam / (1.0 + lam)], (graph.n, 1))
 
     def factor(v: int, u: int, c: int, c_new: int, b: int) -> float:

@@ -297,14 +297,14 @@ class _Node:
     this node's slot in its adjacency, out_last = last delivery on the channel to it."""
 
     __slots__ = (
-        "vid", "nbrs", "m", "times", "proposals", "coins", "phase", "value", "i", "beta", "c_new",
+        "vid", "nbrs", "m", "proposals", "coins", "phase", "value", "i", "beta", "c_new",
         "j", "hist", "fmin", "fmax", "S", "win", "rslot", "out_last", "pending", "info_pending",
         "entry", "term", "done",
     )
 
-    def __init__(self, vid, nbrs, times, proposals, coins, y0, win, rslot):
-        self.vid, self.nbrs, self.times, self.proposals, self.coins = vid, nbrs, times, proposals, coins
-        self.m = len(times)
+    def __init__(self, vid, nbrs, proposals, coins, y0, win, rslot):
+        self.vid, self.nbrs, self.proposals, self.coins = vid, nbrs, proposals, coins
+        self.m = len(proposals)
         self.phase = 1
         self.value = y0[vid]
         self.i = self.c_new = 0
@@ -356,7 +356,7 @@ class Simulation:
         adj, times = model.graph.adj, schedule.times
         slot_of = [{u: k for k, u in enumerate(a)} for a in adj]
         self.nodes = [
-            _Node(v, adj[v], times[v].tolist(), self.props_l[v], coins_l[v], self.y0,
+            _Node(v, adj[v], self.props_l[v], coins_l[v], self.y0,
                   [updates_before(times[u], u, times[v], v).tolist() for u in adj[v]],
                   [slot_of[u][v] for u in adj[v]])
             for v in range(model.n)

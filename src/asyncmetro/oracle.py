@@ -10,7 +10,7 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from .models import SpinModel, _SPIN
-from .schedule import UpdateSchedule, draw_proposals, ordered_keys
+from .schedule import UpdateSchedule, draw_proposals
 
 _EXACT_TABLE_LIMIT = 10**6
 
@@ -58,13 +58,12 @@ def run_continuous(model: SpinModel, schedule: UpdateSchedule, y0: Sequence[int]
     cur = model.check_configuration(y0)
     adj = model.graph.adj
     filt = model._filter_raw
-    proposals = [p.tolist() for p in schedule.proposals]
-    coins = [b.tolist() for b in schedule.coins]
+    updates = [(v, i, t) for v, ts in enumerate(schedule.times) for i, t in enumerate(ts.tolist(), start=1)]
+    proposals, coins = ([x for a in arrays for x in a.tolist()] for arrays in (schedule.proposals, schedule.coins))
     trajectory = []
-    for t, v, i in ordered_keys(schedule):
-        c_new = proposals[v][i - 1]
-        tau = [cur[u] for u in adj[v]]
-        if coins[v][i - 1] < filt(v, cur[v], c_new, tau):
+    for pos in schedule.order.tolist():
+        (v, i, t), c_new = updates[pos], proposals[pos]
+        if coins[pos] < filt(v, cur[v], c_new, [cur[u] for u in adj[v]]):
             cur[v] = c_new
         trajectory.append(TrajectoryStep(v, i, t, cur[v]))
     return ContinuousRun(np.asarray(cur, dtype=np.int64), trajectory)

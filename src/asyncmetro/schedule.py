@@ -9,6 +9,9 @@ randomness. The global processing order is the strict total order on
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+from itertools import accumulate
 from typing import IO, NamedTuple
 
 import numpy as np
@@ -22,9 +25,15 @@ class UpdateId(NamedTuple):
 
 
 class UpdateSchedule:
-    """Per-node update times in (0, T), proposals, and uniform-[0,1) coins."""
+    """Per-node update times in (0, T), proposals, and uniform-[0,1) coins.
 
-    __slots__ = ("T", "seed", "n", "q", "times", "proposals", "coins")
+    Update (v, i) sits at flat position starts[v] + i - 1, so positions run in
+    (node, index) order. order lists the positions in the total order (time,
+    node, index) and rank is its inverse; both are computed once, here, and
+    the times they derive from are read-only.
+    """
+
+    __slots__ = ("T", "seed", "n", "q", "times", "proposals", "coins", "counts", "starts", "order", "rank")
 
     def __init__(self, T, seed, n, q, times, proposals, coins):
         self.T = float(T)
@@ -35,21 +44,32 @@ class UpdateSchedule:
         self.proposals = proposals  # list of int64 arrays
         self.coins = coins          # list of float64 arrays in [0, 1)
         self._validate()
+        for t in times:
+            t.setflags(write=False)
+        self.counts = [len(t) for t in times]
+        self.starts = [0, *accumulate(self.counts)]
+        # a stable sort of the times in position order breaks exact ties by node, then index
+        self.order = np.argsort(np.concatenate([*times, []]), kind="stable")
+        self.rank = np.empty_like(self.order)
+        self.rank[self.order] = np.arange(len(self.order))
+        self.order.setflags(write=False)
+        self.rank.setflags(write=False)
 
     def _validate(self) -> None:
         if len(self.times) != self.n or len(self.proposals) != self.n or len(self.coins) != self.n:
             raise ValueError("per-node arrays must all have length n")
+        # comparisons are negated so that NaN fails them
         for v in range(self.n):
             t, p, b = self.times[v], self.proposals[v], self.coins[v]
             if not (len(t) == len(p) == len(b)):
                 raise ValueError(f"node {v}: times/proposals/coins lengths differ")
-            if len(t) and (t[0] <= 0.0 or t[-1] >= self.T):
+            if len(t) and not (t[0] > 0.0 and t[-1] < self.T):
                 raise ValueError(f"node {v}: update times must lie in (0, T)")
-            if np.any(np.diff(t) <= 0.0):
+            if not np.all(np.diff(t) > 0.0):
                 raise ValueError(f"node {v}: update times must be strictly increasing")
             if len(p) and (p.min() < 0 or p.max() >= self.q):
                 raise ValueError(f"node {v}: proposals out of range 0..{self.q - 1}")
-            if len(b) and (b.min() < 0.0 or b.max() >= 1.0):
+            if len(b) and not (b.min() >= 0.0 and b.max() < 1.0):
                 raise ValueError(f"node {v}: coins out of [0, 1)")
 
     def check_model(self, model: SpinModel) -> None:
@@ -59,12 +79,13 @@ class UpdateSchedule:
             )
 
     @property
-    def counts(self) -> list[int]:
-        return [len(t) for t in self.times]
-
-    @property
     def total_updates(self) -> int:
-        return sum(len(t) for t in self.times)
+        return self.starts[-1]
+
+    def update_at(self, pos: int) -> UpdateId:
+        """The update at flat position pos."""
+        v = bisect_right(self.starts, pos) - 1
+        return UpdateId(v, int(pos) - self.starts[v] + 1)
 
     def __repr__(self) -> str:
         return f"UpdateSchedule(n={self.n}, T={self.T}, seed={self.seed}, updates={self.total_updates})"
@@ -89,8 +110,8 @@ def _poisson_times(rng: np.random.Generator, T: float) -> np.ndarray:
 
 def generate(model: SpinModel, T: float, seed: int) -> UpdateSchedule:
     """Draw the full shared randomness for (model, T, seed); fully deterministic."""
-    if T < 0:
-        raise ValueError(f"time horizon must be >= 0, got {T}")
+    if not 0 <= T < math.inf:
+        raise ValueError(f"time horizon must be finite and >= 0, got {T}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     n, q = model.n, model.q
@@ -111,43 +132,17 @@ def draw_proposals(cdf, coins, q: int):
     return np.minimum(np.searchsorted(cdf, coins, side="right"), q - 1)
 
 
-def order_key(schedule: UpdateSchedule, uid: UpdateId) -> tuple[float, int, int]:
-    """Position of one update in the strict total order (time, node, index)."""
-    return (float(schedule.times[uid.node][uid.index - 1]), uid.node, uid.index)
-
-
-def precedes(schedule: UpdateSchedule, first, second) -> np.ndarray:
-    """order_key(first) < order_key(second), elementwise over two arrays of
-    updates, each given by its position in (node, index) order."""
-    first, second = np.asarray(first, dtype=np.int64), np.asarray(second, dtype=np.int64)
-    times, node = np.concatenate([*schedule.times, []]), np.repeat(np.arange(schedule.n), schedule.counts)
-    t1, t2, v1, v2 = times[first], times[second], node[first], node[second]
-    # within one node, position order is index order
-    return (t1 < t2) | ((t1 == t2) & ((v1 < v2) | ((v1 == v2) & (first < second))))
-
-
-def ordered_keys(schedule: UpdateSchedule) -> list[tuple[float, int, int]]:
-    """order_key of every update, sorted; times stay Python floats."""
-    keyed = [
-        (t, v, i)
-        for v in range(schedule.n)
-        for i, t in enumerate(schedule.times[v].tolist(), start=1)
-    ]
-    keyed.sort()
-    return keyed
-
-
 def total_order(schedule: UpdateSchedule) -> list[UpdateId]:
     """All updates sorted by the strict total order (time, node, index)."""
-    return [UpdateId(v, i) for _, v, i in ordered_keys(schedule)]
+    return [schedule.update_at(pos) for pos in schedule.order.tolist()]
 
 
 def updates_before(times, u: int, t, querying_node: int):
     """Count of node u's updates strictly before the order key (t, querying_node).
 
-    Exact time ties across nodes break toward the smaller node id. This is the
-    one place the tie-break is written out; order_key encodes the same rule.
-    t may be one time or an array of times (one count each).
+    Exact time ties across nodes break toward the smaller node id, as in
+    UpdateSchedule.order. This is the one count of a node's updates before a
+    key; t may be one time or an array of times (one count each).
     """
     return np.searchsorted(times, t, side="right" if u < querying_node else "left")
 

@@ -173,7 +173,7 @@ class TestCommands:
             for k in range(len(corrupted.coins[v])):
                 corrupted.coins[v][k] = 1.0 - 1e-12 if sch.coins[v][k] < 0.5 else 0.0
                 res = netsim.run(model, corrupted, y0, netsim.SynchronousScheduler())
-                mismatch = harness.compare_with_oracle(model, sch, y0, res)
+                mismatch = harness.first_mismatch(expected, res.final)
                 if mismatch:
                     break
             if mismatch:
@@ -389,6 +389,42 @@ class TestCli:
             harness.load_config(path)
         assert cli.main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("chain", ["T = inf", "T = nan", "steps_per_node = inf"])
+    def test_non_finite_horizon_exits_2(self, tmp_path, capsys, chain):
+        path = tmp_path / "t.ini"
+        path.write_text(BASE_CONFIG.replace("T = 3.0", chain))
+        with pytest.raises(ConfigError, match=r"\[chain\] T"):
+            harness.load_config(path)
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [chain] T") and "Traceback" not in err
+
+    def test_infinite_fugacity_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "lam.ini"
+        path.write_text(BASE_CONFIG.replace("kind = coloring\nq = 5", "kind = hardcore\nlambda = inf"))
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "fugacity" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("runs", ["0", "-5"])
+    def test_no_runs_exits_2(self, tmp_path, capsys, runs):
+        text = (
+            "[model]\nkind = hardcore\nlambda = 1.0\n\n"
+            "[graph]\nkind = cycle\nn = 3\n\n"
+            "[chain]\nT = 1\ny0 = zeros\n\n"
+            "[experiment]\nseeds = 1:1\nruns = {}\n"
+        )
+        path = tmp_path / "r.ini"
+        path.write_text(text.format(runs))
+        with pytest.raises(ConfigError, match="runs"):
+            harness.load_config(path)
+        assert cli.main(["tv-test", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "runs" in err and "Traceback" not in err
+        path.write_text(text.format(5))
+        with pytest.raises(ConfigError, match="run"):
+            harness.empirical_tv(harness.load_config(path), runs=int(runs))
 
     @pytest.mark.parametrize("bad", ["0.5 info 1", "0.5 info 0 1 bits=3 maxfrag=2"],
                              ids=["too-few-fields", "missing-payload-key"])

@@ -123,6 +123,11 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             make_hardcore(path_graph(2), -0.1)
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_hardcore_non_finite_fugacity_rejected(self, lam):
+        with pytest.raises(ValueError, match="fugacity"):
+            make_hardcore(path_graph(2), lam)
+
     def test_ising_zero_beta_always_accepts(self):
         m = make_ising(cycle_graph(4), 0.0)
         for c, cn, tau in itertools.product(range(2), range(2), itertools.product(range(2), repeat=2)):
@@ -144,6 +149,12 @@ class TestBuiltins:
             SpinModel(g, 2, np.array([[0.7, 0.2], [0.5, 0.5]]), filter_fn=lambda *a: 1.0)
         with pytest.raises(ValueError):
             SpinModel(g, 2, np.array([[1.2, -0.2], [0.5, 0.5]]), filter_fn=lambda *a: 1.0)
+
+    @pytest.mark.parametrize("row", [[math.nan, 1.0], [0.0, math.nan], [math.inf, 0.0], [math.inf, -math.inf]])
+    def test_non_finite_proposals_rejected(self, row):
+        # NaN passes both "< 0" and a row-sum test written as "> tol"
+        with pytest.raises(ValueError, match="proposal"):
+            SpinModel(path_graph(2), 2, np.array([row, [0.5, 0.5]]), filter_fn=lambda *a: 1.0)
 
 
 def _random_models(rng, n_graphs=6):

@@ -1,6 +1,8 @@
 """Shared-randomness generation: Poisson clocks, proposals, coins, ordering."""
 
 import io
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -35,6 +37,26 @@ def make_manual(T, times_by_node, proposals=None, coins=None, q=4, seed=0):
     return UpdateSchedule(T, seed, n, q, times, props, cns)
 
 
+def tuple_keys(s):
+    """(time, node, index) of every update in (node, index) order: the order key
+    written out independently of UpdateSchedule."""
+    return [(float(t), v, i) for v in range(s.n) for i, t in enumerate(s.times[v], start=1)]
+
+
+def tuple_order(s):
+    return [UpdateId(v, i) for _, v, i in sorted(tuple_keys(s))]
+
+
+def order_cases():
+    """Generated schedules, exact-tie grids and an empty graph."""
+    grid = np.array([0.25, 0.5, 0.75, 1.0])
+    rng = np.random.default_rng(31)
+    schedules = [generate(make_coloring(empty_graph(5), 3), 3.0, seed) for seed in range(3)]
+    schedules += [make_manual(2.0, [grid[rng.random(4) < 0.6] for _ in range(5)]) for _ in range(10)]
+    schedules.append(make_manual(1.0, []))
+    return schedules
+
+
 class TestGenerate:
     def test_zero_horizon_is_empty(self):
         m = make_coloring(cycle_graph(5), 3)
@@ -45,6 +67,11 @@ class TestGenerate:
         m = make_coloring(cycle_graph(5), 3)
         with pytest.raises(ValueError):
             generate(m, -1.0, 1)
+
+    @pytest.mark.parametrize("T", [math.inf, math.nan])
+    def test_non_finite_horizon_rejected(self, T):
+        with pytest.raises(ValueError, match="finite"):
+            generate(make_coloring(cycle_graph(5), 3), T, 1)
 
     def test_poisson_mean_concentrates(self):
         # mean of m_v over 1000 nodes at T=10 concentrates within 10 +/- 0.5
@@ -112,21 +139,39 @@ class TestTotalOrder:
     def test_exact_tie_breaks_by_node_id(self):
         s = make_manual(1.0, [[], [], [], [0.5], [], [], [], [0.5]])
         assert total_order(s) == [UpdateId(3, 1), UpdateId(7, 1)]
-        assert [sched_mod.order_key(s, uid) for uid in total_order(s)] == sched_mod.ordered_keys(s)
+        assert total_order(s) == tuple_order(s)
 
-    def test_precedes_matches_order_key(self):
+    def test_rank_matches_tuple_order(self):
         # every ordered pair of updates, on generated schedules and on exact-tie grids
-        grid = np.array([0.25, 0.5, 0.75, 1.0])
-        rng = np.random.default_rng(31)
-        schedules = [generate(make_coloring(empty_graph(5), 3), 3.0, seed) for seed in range(3)]
-        schedules += [make_manual(2.0, [grid[rng.random(4) < 0.6] for _ in range(5)]) for _ in range(10)]
-        schedules.append(make_manual(1.0, []))
-        for s in schedules:
-            uids = [UpdateId(v, i) for v in range(s.n) for i in range(1, s.counts[v] + 1)]
-            first, second = np.divmod(np.arange(len(uids) ** 2), max(len(uids), 1))
-            want = [sched_mod.order_key(s, uids[a]) < sched_mod.order_key(s, uids[b])
-                    for a, b in zip(first.tolist(), second.tolist())]
-            assert sched_mod.precedes(s, first, second).tolist() == want
+        for s in order_cases():
+            keys = tuple_keys(s)
+            for a, b in itertools.product(range(len(keys)), repeat=2):
+                assert (s.rank[a] < s.rank[b]) == (keys[a] < keys[b])
+
+    def test_order_matches_tuple_sort(self):
+        cases = order_cases()
+        assert any(len(set(np.concatenate(s.times).tolist())) < s.total_updates for s in cases)  # exact ties occur
+        for s in cases:
+            assert [s.update_at(pos) for pos in s.order.tolist()] == tuple_order(s) == total_order(s)
+            assert s.rank[s.order].tolist() == list(range(s.total_updates))
+
+    def test_empty_graph_has_empty_order(self):
+        s = make_manual(1.0, [])
+        assert (s.counts, s.starts, s.total_updates) == ([], [0], 0)
+        assert len(s.order) == len(s.rank) == 0
+
+    def test_update_at_inverts_starts(self):
+        for s in order_cases():
+            assert s.starts == [0, *np.cumsum(s.counts).tolist()] and s.total_updates == s.starts[-1]
+            for v in range(s.n):
+                for i in range(1, s.counts[v] + 1):
+                    assert s.update_at(s.starts[v] + i - 1) == (v, i)
+
+    def test_times_are_read_only(self):
+        # order and rank derive from the times, so the times cannot change under them
+        s = generate(make_coloring(cycle_graph(3), 3), 5.0, 2)
+        with pytest.raises(ValueError):
+            s.times[0][0] = 0.1
 
     def test_restriction_to_one_node_is_index_order(self):
         m = make_coloring(empty_graph(4), 3)
@@ -173,6 +218,15 @@ class TestScheduleValidation:
     def test_rejects_times_outside_horizon(self):
         with pytest.raises(ValueError):
             make_manual(1.0, [[1.5]])
+
+    @pytest.mark.parametrize("times", [[math.nan], [0.2, math.nan, 0.6], [0.2, math.nan]])
+    def test_rejects_nan_times(self, times):
+        with pytest.raises(ValueError, match="times"):
+            make_manual(1.0, [times])
+
+    def test_rejects_nan_coins(self):
+        with pytest.raises(ValueError, match="coins"):
+            make_manual(1.0, [[0.5]], coins=[[math.nan]])
 
     def test_rejects_out_of_range_proposals(self):
         with pytest.raises(ValueError):
