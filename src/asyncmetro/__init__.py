@@ -8,7 +8,6 @@ chain so the two produce identical samples on identical randomness.
 
 from .graphs import (
     Graph,
-    complete_graph,
     cycle_graph,
     empty_graph,
     greedy_coloring,

@@ -95,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     except netsim.SimulationInvariantError as exc:
         print(f"simulation invariant violated: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:  # OSError: an output file cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

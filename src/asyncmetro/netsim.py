@@ -1,15 +1,16 @@
 """Discrete-event simulation of the two-phase asynchronous protocol.
 
 The network is the model graph with one reliable FIFO channel per directed
-edge; every message is delivered within one virtual time unit, with the exact
-delay in (0, 1] chosen by a pluggable scheduler. Phase I ships each node's
-initial value and update list to its neighbors (serialized on the channel,
-one fragment per update); a node enters Phase II once every neighbor's info
-has fully arrived, then resolves its updates in order. An update resolves as
-soon as the coupled coin beta falls below the minimum acceptance probability
-P_AC or at/above 1 - P_RE, both computed over the product of per-neighbor
-possible-state sets; each received Accept/Reject narrows those sets and
-retriggers the test.
+edge; every message is delivered within one virtual time unit. A pluggable
+scheduler gives each channel, once per run, the stream of its delays; the
+engine takes one per message sent and checks it against (0, 1]. Phase I
+ships each node's initial value and update list to its neighbors
+(serialized on the channel, one fragment per update); a node enters Phase II
+once every neighbor's info has fully arrived, then resolves its updates in
+order. An update resolves as soon as the coupled coin beta falls below the
+minimum acceptance probability P_AC or at/above 1 - P_RE, both computed over
+the product of per-neighbor possible-state sets; each received Accept/Reject
+narrows those sets and retriggers the test.
 
 Local computation is instantaneous in virtual time; the virtual clock is a
 separate axis from the chain's Poisson time in [0, T].
@@ -21,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, fields
 from heapq import heapify, heappop, heappush
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,34 +39,14 @@ class SimulationInvariantError(RuntimeError):
 # delay schedulers
 
 class Scheduler:
-    """Per-message delay policy. Every delay must lie in (0, 1]. A policy whose
-    delays are all one number declares it as constant_delay; the engine then
-    adds it without calling delay()."""
+    """Delay policy of a run. The engine calls channels(pairs, count) once, at
+    set-up, with the directed channels (src, dst) in (node, slot) order and the
+    run's exact message count; it returns one iterator per channel, whose i-th
+    value is the delay of the i-th message sent on that channel. The engine
+    checks every delay against (0, 1]."""
 
-    constant_delay: float | None = None
-
-    def delay(self, src: int, dst: int, kind: str, seq: int) -> float:
+    def channels(self, pairs: Sequence[tuple[int, int]], count: int) -> list[Iterator[float]]:
         raise NotImplementedError
-
-
-class SynchronousScheduler(Scheduler):
-    """Benign lock-step scheduler: every delay is exactly one time unit."""
-
-    constant_delay = 1.0
-
-    def delay(self, src, dst, kind, seq):
-        return self.constant_delay
-
-
-class UniformRandomScheduler(Scheduler):
-    """I.i.d. delays uniform on (0, 1]."""
-
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
-
-    def delay(self, src, dst, kind, seq):
-        return 1.0 - float(self._rng.random())
 
 
 class FixedDelayScheduler(Scheduler):
@@ -75,8 +56,29 @@ class FixedDelayScheduler(Scheduler):
         self.default = default
         self.table = dict(table or {})
 
-    def delay(self, src, dst, kind, seq):
-        return self.table.get((src, dst), self.default)
+    def channels(self, pairs, count):
+        return [itertools.repeat(self.table.get(pair, self.default)) for pair in pairs]
+
+
+class SynchronousScheduler(FixedDelayScheduler):
+    """Benign lock-step scheduler: every delay is exactly one time unit."""
+
+    def __init__(self):
+        super().__init__(1.0)
+
+
+class UniformRandomScheduler(Scheduler):
+    """I.i.d. delays uniform on (0, 1]."""
+
+    def __init__(self, seed: int = 0):
+        self.seed = seed
+        self._rng = np.random.default_rng(seed)
+
+    def channels(self, pairs, count):
+        # every channel reads one block, so delays are used in send order and
+        # equal count scalar draws 1 - rng.random(), generator state included
+        block = iter((1.0 - self._rng.random(count)).tolist())
+        return [block] * len(pairs)
 
 
 SCHEDULER_POLICIES = ("synchronous", "uniform", "adversarial-max", "fixed")
@@ -86,7 +88,7 @@ def make_scheduler(policy: str, seed: int = 0, **kwargs) -> Scheduler:
     if policy in ("synchronous", "adversarial-max"):
         # every delay at the maximum of one unit is also the max-delay adversary
         return SynchronousScheduler()
-    if policy in ("uniform", "uniform-random"):
+    if policy == "uniform":
         return UniformRandomScheduler(seed)
     if policy == "fixed":
         return FixedDelayScheduler(**kwargs)
@@ -294,15 +296,16 @@ class _Node:
     position in nbrs: the neighbor's known prefix length j and resolved states
     hist (initial value first), its possible set S and edge range fmin/fmax,
     win[k][i - 1] = its count of updates before this node's update i, rslot =
-    this node's slot in its adjacency, out_last = last delivery on the channel to it."""
+    this node's slot in its adjacency, dly and out_last = the delays and the last
+    delivery of the channel to it."""
 
     __slots__ = (
         "vid", "nbrs", "m", "proposals", "coins", "phase", "value", "i", "beta", "c_new",
-        "j", "hist", "fmin", "fmax", "S", "win", "rslot", "out_last", "pending", "info_pending",
+        "j", "hist", "fmin", "fmax", "S", "win", "rslot", "dly", "out_last", "pending", "info_pending",
         "entry", "term", "done",
     )
 
-    def __init__(self, vid, nbrs, proposals, coins, y0, win, rslot):
+    def __init__(self, vid, nbrs, proposals, coins, y0, win, rslot, dly):
         self.vid, self.nbrs, self.proposals, self.coins = vid, nbrs, proposals, coins
         self.m = len(proposals)
         self.phase = 1
@@ -314,7 +317,7 @@ class _Node:
         self.fmin = [0.0] * len(nbrs)
         self.fmax = [0.0] * len(nbrs)
         self.S: list[tuple[int, ...] | None] = [None] * len(nbrs)
-        self.win, self.rslot = win, rslot
+        self.win, self.rslot, self.dly = win, rslot, dly
         self.out_last = [0.0] * len(nbrs)
         self.pending: list[tuple[int, bool, int]] = []
         self.info_pending = len(nbrs)
@@ -343,22 +346,24 @@ class Simulation:
     ):
         schedule.check_model(model)
         self.y0 = model.check_configuration(y0)
-        self.const_delay = scheduler.constant_delay
-        if self.const_delay is not None and not 0.0 < self.const_delay <= 1.0:
-            raise ValueError(f"scheduler constant_delay {self.const_delay!r} outside (0, 1]")
         self.model = model
         self.schedule = schedule
-        self.scheduler = scheduler
         self.paranoid = paranoid
         self.factor = model.edge_factor_fn
         self.props_l = [p.tolist() for p in schedule.proposals]
         coins_l = [b.tolist() for b in schedule.coins]
         adj, times = model.graph.adj, schedule.times
         slot_of = [{u: k for k, u in enumerate(a)} for a in adj]
+        # each node sends m + 1 Phase-I fragments and m decisions on each channel
+        count = sum(len(adj[v]) * (2 * len(times[v]) + 1) for v in range(model.n))
+        dly = scheduler.channels([(v, u) for v in range(model.n) for u in adj[v]], count)
+        starts = [0, *itertools.accumulate(map(len, adj))]
+        if len(dly) != starts[-1]:
+            raise ValueError(f"scheduler gave {len(dly)} delay streams for {starts[-1]} channels")
         self.nodes = [
             _Node(v, adj[v], self.props_l[v], coins_l[v], self.y0,
                   [updates_before(times[u], u, times[v], v).tolist() for u in adj[v]],
-                  [slot_of[u][v] for u in adj[v]])
+                  [slot_of[u][v] for u in adj[v]], dly[starts[v] : starts[v + 1]])
             for v in range(model.n)
         ]
         self.heap: list[tuple] = []
@@ -370,23 +375,20 @@ class Simulation:
 
     # -- channel plumbing ---------------------------------------------------
 
-    def _delay(self, src: int, dst: int, kind: str, seq: int) -> float:
-        d = self.scheduler.delay(src, dst, kind, seq)
-        if not 0.0 < d <= 1.0:
-            raise ValueError(f"scheduler produced delay {d!r} outside (0, 1]")
-        return d
-
     def _schedule_phase1(self) -> None:
-        n, T, q, const = self.model.n, self.schedule.T, self.model.q, self.const_delay
+        n, T, q = self.model.n, self.schedule.T, self.model.q
         for node in self.nodes:
             u, m_u = node.vid, node.m
             bits, maxfrag = phase1_info_bits(n, T, q, m_u)
             for k, v in enumerate(node.nbrs):
                 # info fragments are serialized on the channel: the logical
                 # PhaseOneInfo message lands when the last fragment does
-                t = 0.0
-                for frag in range(m_u + 1):
-                    t += const if const is not None else self._delay(u, v, "info", frag)
+                t, dly = 0.0, node.dly[k]
+                for _ in range(m_u + 1):
+                    d = next(dly)
+                    if not 0.0 < d <= 1.0:
+                        raise ValueError(f"scheduler produced delay {d!r} outside (0, 1]")
+                    t += d
                 node.out_last[k] = t
                 self.heap.append((t, u, v, 0, False, node.rslot[k]))
                 self.phase1_messages += 1
@@ -411,20 +413,6 @@ class Simulation:
         pending, node.pending = node.pending, []
         for k, accepted, sidx in pending:
             self._apply_decision(node, k, accepted, sidx, vtime)
-
-    def on_decision(self, dst: int, src: int, accepted: bool, sidx: int, vtime: float) -> None:
-        """Deliver src's decision on its update sidx to dst."""
-        node = self.nodes[dst]
-        self._deliver(node, node.nbrs.index(src), accepted, sidx, vtime)
-
-    def _deliver(self, node: _Node, k: int, accepted: bool, sidx: int, vtime: float) -> None:
-        """Trace the decision of the neighbor in slot k, then queue it (Phase I) or apply it."""
-        self._record(vtime, "dec", node.nbrs[k], node.vid, f"accept={int(accepted)} j={sidx}")
-        if node.phase == 1:
-            # queued until dst enters Phase II, processed in arrival order
-            node.pending.append((k, accepted, sidx))
-            return
-        self._apply_decision(node, k, accepted, sidx, vtime)
 
     def _apply_decision(self, node: _Node, k: int, accepted: bool, sidx: int, vtime: float) -> None:
         ju = node.j[k]
@@ -522,9 +510,12 @@ class Simulation:
             tpay = "self" if tid is None else f"{tid.node}:{tid.index}"
             self._record(vtime, "resolve", -1, node.vid, f"i={i} accept={int(accepted)} trigger={tpay}")
         # the decision on update i is the i-th on each channel, so i is its sequence number
-        const, src, last = self.const_delay, node.vid, node.out_last
+        src, last, dly = node.vid, node.out_last, node.dly
         for k, dst in enumerate(node.nbrs):
-            deliver = vtime + (const if const is not None else self._delay(src, dst, "decision", i))
+            d = next(dly[k])
+            if not 0.0 < d <= 1.0:
+                raise ValueError(f"scheduler produced delay {d!r} outside (0, 1]")
+            deliver = vtime + d
             if deliver < last[k]:
                 # FIFO projection. Against an earlier decision (sent no later) this
                 # stays within one unit of the send; only against the Phase-I tail,
@@ -562,10 +553,15 @@ class Simulation:
                 node.info_pending -= 1
                 if node.info_pending == 0 and node.phase == 1:
                     self.enter_phase2(node, vtime)
-            elif trace is None and node.phase == 2:
-                apply_decision(node, k, accepted, seq, vtime)
+                continue
+            # a decision: traced, then queued while dst is in Phase I (processed in
+            # arrival order once it enters Phase II) or applied
+            if trace is not None:
+                trace.append((vtime, "dec", src, dst, f"accept={int(accepted)} j={seq}"))
+            if node.phase == 1:
+                node.pending.append((k, accepted, seq))
             else:
-                self._deliver(node, k, accepted, seq, vtime)
+                apply_decision(node, k, accepted, seq, vtime)
         stuck = [nd for nd in self.nodes if not nd.done]
         if stuck:
             raise SimulationInvariantError(self._deadlock_dump(stuck))

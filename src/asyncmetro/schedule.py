@@ -43,34 +43,41 @@ class UpdateSchedule:
         self.times = times          # list of float64 arrays, strictly increasing
         self.proposals = proposals  # list of int64 arrays
         self.coins = coins          # list of float64 arrays in [0, 1)
-        self._validate()
+        if len(times) != n or len(proposals) != n or len(coins) != n:
+            raise ValueError("per-node arrays must all have length n")
+        self.counts = [len(t) for t in times]
+        for v, (p, b) in enumerate(zip(proposals, coins)):
+            if not (self.counts[v] == len(p) == len(b)):
+                raise ValueError(f"node {v}: times/proposals/coins lengths differ")
+        self.starts = [0, *accumulate(self.counts)]
+        flat = np.concatenate([*times, []])
+        self._validate(flat)
         for t in times:
             t.setflags(write=False)
-        self.counts = [len(t) for t in times]
-        self.starts = [0, *accumulate(self.counts)]
         # a stable sort of the times in position order breaks exact ties by node, then index
-        self.order = np.argsort(np.concatenate([*times, []]), kind="stable")
+        self.order = np.argsort(flat, kind="stable")
         self.rank = np.empty_like(self.order)
         self.rank[self.order] = np.arange(len(self.order))
         self.order.setflags(write=False)
         self.rank.setflags(write=False)
 
-    def _validate(self) -> None:
-        if len(self.times) != self.n or len(self.proposals) != self.n or len(self.coins) != self.n:
-            raise ValueError("per-node arrays must all have length n")
+    def _validate(self, flat: np.ndarray) -> None:
+        """Each check runs once over all updates (flat: the times in position order)."""
         # comparisons are negated so that NaN fails them
-        for v in range(self.n):
-            t, p, b = self.times[v], self.proposals[v], self.coins[v]
-            if not (len(t) == len(p) == len(b)):
-                raise ValueError(f"node {v}: times/proposals/coins lengths differ")
-            if len(t) and not (t[0] > 0.0 and t[-1] < self.T):
-                raise ValueError(f"node {v}: update times must lie in (0, T)")
-            if not np.all(np.diff(t) > 0.0):
-                raise ValueError(f"node {v}: update times must be strictly increasing")
-            if len(p) and (p.min() < 0 or p.max() >= self.q):
-                raise ValueError(f"node {v}: proposals out of range 0..{self.q - 1}")
-            if len(b) and not (b.min() >= 0.0 and b.max() < 1.0):
-                raise ValueError(f"node {v}: coins out of [0, 1)")
+        self._require((flat > 0.0) & (flat < self.T), "update times must lie in (0, T)")
+        increasing = np.ones(len(flat) + 1, dtype=bool)
+        increasing[1:-1] = flat[1:] > flat[:-1]
+        increasing[self.starts] = True  # a node's first update follows another node's last
+        self._require(increasing, "update times must be strictly increasing")
+        props = np.concatenate([*self.proposals, np.empty(0, np.int64)])
+        self._require((props >= 0) & (props < self.q), f"proposals out of range 0..{self.q - 1}")
+        coins = np.concatenate([*self.coins, []])
+        self._require((coins >= 0.0) & (coins < 1.0), "coins out of [0, 1)")
+
+    def _require(self, ok: np.ndarray, what: str) -> None:
+        """Raise naming the node of the first position where ok is False."""
+        if not ok.all():
+            raise ValueError(f"node {self.update_at(int(np.argmin(ok))).node}: {what}")
 
     def check_model(self, model: SpinModel) -> None:
         if self.n != model.n or self.q != model.q:

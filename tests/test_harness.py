@@ -334,6 +334,21 @@ class TestCli:
         )
         assert cli.main(["run", str(path)]) == 2
 
+    @pytest.mark.parametrize("flag", ["-o", "--finals"])
+    def test_unwritable_output_exits_2(self, config_path, tmp_path, capsys, flag):
+        bad = tmp_path / "absent" / "out.txt"
+        assert cli.main(["run", str(config_path), flag, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err and "Traceback" not in err
+
+    def test_infeasible_random_regular_exits_2(self, tmp_path, capsys):
+        # an 8-node 7-regular graph exists, but the pairing model almost never finds it
+        path = tmp_path / "rr.ini"
+        path.write_text(BASE_CONFIG.replace("kind = cycle\nn = 6", "kind = random-regular\nn = 8\ndegree = 7"))
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no simple 7-regular pairing") and "Traceback" not in err
+
     def test_verify_coupling_cli(self, config_path, capsys):
         assert cli.main(["verify-coupling", str(config_path)]) == 0
         assert "all exact" in capsys.readouterr().out

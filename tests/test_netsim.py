@@ -1,6 +1,7 @@
 """Protocol simulation: possible states, thresholds, coupling, accounting."""
 
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -265,7 +266,7 @@ class TestEventLoopInternals:
         node0 = sim.nodes[0]
         sim.enter_phase2(node0, 0.0)
         with pytest.raises(SimulationInvariantError, match="out of order"):
-            sim.on_decision(0, 1, True, 2, 0.5)
+            sim._apply_decision(node0, 0, True, 2, 0.5)  # node 1 is node 0's slot 0
 
     def test_surplus_decision_detected(self):
         m = make_coloring(path_graph(2), 3)
@@ -273,7 +274,7 @@ class TestEventLoopInternals:
         sim = Simulation(m, s, [0, 1], SynchronousScheduler())
         sim.execute()
         with pytest.raises(SimulationInvariantError, match="surplus"):
-            sim.on_decision(0, 1, True, 2, 9.0)
+            sim._apply_decision(sim.nodes[0], 0, True, 2, 9.0)
 
     def test_deadlock_diagnostic(self, monkeypatch):
         m = make_coloring(cycle_graph(3), 5)
@@ -390,41 +391,6 @@ class TestFastPaths:
             checked += self._check_window_table(make_coloring(g, 3), make_manual(2.0, times, q=3))
         assert checked > 0
 
-    @pytest.mark.parametrize("make", [
-        lambda g: make_coloring(g, 4), lambda g: make_hardcore(g, 1.3), lambda g: make_ising(g, 0.6),
-    ], ids=["coloring", "hardcore", "ising"])
-    def test_constant_delay_matches_per_message_path(self, make):
-        # FixedDelayScheduler asks delay() for every message; SynchronousScheduler
-        # declares constant_delay and is never asked
-        class Unasked(SynchronousScheduler):
-            def delay(self, src, dst, kind, seq):
-                raise AssertionError("delay() called under a constant_delay")
-
-        m = make(Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 3), (2, 5)]))
-        y0 = [0] * m.n
-        for seed in range(5):
-            s = generate(m, 6.0, seed)
-            generic = run(m, s, y0, FixedDelayScheduler(default=1.0), collect_trace=True)
-            const = run(m, s, y0, Unasked(), collect_trace=True)
-            assert np.array_equal(generic.final, const.final)
-            assert generic.stats.same_as(const.stats)
-            assert generic.resolutions == const.resolutions
-            texts = []
-            for res in (generic, const):
-                buf = io.StringIO()
-                write_trace(res.trace, buf)
-                texts.append(buf.getvalue())
-            assert texts[0] == texts[1]
-
-    @pytest.mark.parametrize("bad", [0.0, 1.5])
-    def test_constant_delay_outside_unit_interval_rejected(self, bad):
-        class Bad(Scheduler):
-            constant_delay = bad
-
-        m = make_coloring(path_graph(2), 3)
-        with pytest.raises(ValueError, match="constant_delay"):
-            Simulation(m, generate(m, 1.0, 1), [0, 1], Bad())
-
 
 class TestColoringSpecialization:
     def test_threshold_values_are_boolean(self):
@@ -486,17 +452,36 @@ class TestTraceReplay:
 
 class TestSchedulers:
     def test_delay_ranges(self):
-        rng_sched = make_scheduler("uniform", seed=1)
+        pairs = [(0, 1), (1, 0)]
+        uniform = make_scheduler("uniform", seed=1).channels(pairs, 1000)
+        assert len(uniform) == 2
         for k in range(1000):
-            d = rng_sched.delay(0, 1, "decision", k)
-            assert 0.0 < d <= 1.0
-        assert SynchronousScheduler().delay(0, 1, "info", 0) == 1.0
-        assert make_scheduler("adversarial-max").delay(0, 1, "info", 0) == 1.0
+            assert 0.0 < next(uniform[k % 2]) <= 1.0
+        for sch in (SynchronousScheduler(), make_scheduler("adversarial-max")):
+            assert [next(it) for it in sch.channels(pairs, 4) for _ in range(2)] == [1.0] * 4
+
+    def test_uniform_channels_share_one_block(self):
+        # delays are used in send order, whatever the channel: the block is
+        # the scalar stream 1 - rng.random()
+        its = make_scheduler("uniform", seed=3).channels([(0, 1), (1, 0), (1, 2)], 6)
+        got = [next(its[k]) for k in (2, 0, 0, 1, 2, 1)]
+        rng = np.random.default_rng(3)
+        assert got == [1.0 - float(rng.random()) for _ in range(6)]
 
     def test_fixed_table(self):
         sch = FixedDelayScheduler(default=0.5, table={(0, 1): 0.25})
-        assert sch.delay(0, 1, "info", 0) == 0.25
-        assert sch.delay(1, 0, "info", 0) == 0.5
+        its = sch.channels([(0, 1), (1, 0)], 4)
+        assert [next(its[0]), next(its[0])] == [0.25, 0.25]
+        assert [next(its[1]), next(its[1])] == [0.5, 0.5]
+
+    def test_one_stream_per_channel_required(self):
+        class Short(Scheduler):
+            def channels(self, pairs, count):
+                return [itertools.repeat(1.0)] * (len(pairs) - 1)
+
+        m = make_coloring(path_graph(3), 3)
+        with pytest.raises(ValueError, match="3 delay streams for 4 channels"):
+            Simulation(m, generate(m, 1.0, 1), [0, 1, 0], Short())
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
@@ -507,3 +492,40 @@ class TestSchedulers:
         s = generate(m, 1.0, 1)
         with pytest.raises(ValueError):
             run(m, s, [0, 1], FixedDelayScheduler(default=1.5))
+
+    @pytest.mark.parametrize("bad", [0.0, 1.5])
+    def test_bad_decision_delay_rejected(self, bad):
+        # every Phase-I fragment gets a valid delay; each channel's first decision gets a bad one
+        m = make_coloring(cycle_graph(4), 3)
+        s = generate(m, 3.0, 2)
+        assert s.total_updates > 0
+        drawn = []
+
+        class BadDecisions(Scheduler):
+            def channels(self, pairs, count):
+                def stream(src):
+                    yield from itertools.repeat(0.5, len(s.times[src]) + 1)
+                    drawn.append(src)
+                    yield bad
+                return [stream(src) for src, _ in pairs]
+
+        sim = Simulation(m, s, [0, 1, 0, 1], BadDecisions())
+        with pytest.raises(ValueError, match=r"outside \(0, 1\]"):
+            sim.execute()
+        assert len(drawn) == 1 and sim.resolutions
+        assert sim.phase1_fragments == sum(2 * (m_v + 1) for m_v in s.counts)
+
+    def test_uniform_draws_one_scalar_per_message(self):
+        # the shared block leaves the generator exactly where one scalar draw per
+        # message, sum_v deg(v) (2 m_v + 1), would
+        m = make_hardcore(Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]), 0.8)
+        s = generate(m, 4.0, 9)
+        sch = make_scheduler("uniform", seed=21)
+        res = run(m, s, [0] * m.n, sch)
+        deg = [len(a) for a in m.graph.adj]
+        count = sum(d * (2 * m_v + 1) for d, m_v in zip(deg, s.counts))
+        assert count == res.stats.phase1_fragments + res.stats.decision_messages
+        ref = np.random.default_rng(21)
+        for _ in range(count):
+            ref.random()
+        assert sch._rng.bit_generator.state == ref.bit_generator.state

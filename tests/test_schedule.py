@@ -231,3 +231,28 @@ class TestScheduleValidation:
     def test_rejects_out_of_range_proposals(self):
         with pytest.raises(ValueError):
             make_manual(1.0, [[0.5]], proposals=[[9]], q=4)
+
+    # each check runs over all nodes at once; the fault sits on node 3 of 5, after
+    # an empty node and with times that fall across every node boundary
+    GOOD = [[0.5, 0.7], [0.3], [], [0.4, 0.6, 0.8], [0.2, 0.9]]
+
+    def _fault_on_node_3(self, what, **fault):
+        times = [list(t) for t in self.GOOD]
+        props = [[1] * len(t) for t in times]
+        coins = [[0.5] * len(t) for t in times]
+        for name, value in fault.items():
+            {"times": times, "props": props, "coins": coins}[name][3][1] = value
+        with pytest.raises(ValueError, match=f"^node 3: {what}"):
+            make_manual(1.0, times, proposals=props, coins=coins, q=4)
+
+    def test_time_outside_horizon_names_node(self):
+        self._fault_on_node_3(r"update times must lie in \(0, T\)", times=1.0)
+
+    def test_decreasing_time_names_node(self):
+        self._fault_on_node_3("update times must be strictly increasing", times=0.3)
+
+    def test_proposal_out_of_range_names_node(self):
+        self._fault_on_node_3(r"proposals out of range 0\.\.3", props=4)
+
+    def test_coin_out_of_range_names_node(self):
+        self._fault_on_node_3(r"coins out of \[0, 1\)", coins=1.0)
