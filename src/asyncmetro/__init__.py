@@ -19,11 +19,9 @@ from .graphs import (
     write_edge_list,
 )
 from .models import SpinModel, lipschitz_bound, make_coloring, make_hardcore, make_ising
-from .schedule import UpdateId, UpdateSchedule, generate, total_order, updates_before
+from .schedule import UpdateId, UpdateSchedule, generate, total_order
 from .oracle import (
     ContinuousRun,
-    PoissonBridge,
-    discrete_continuous_bridge,
     exact_distribution,
     horizon_for_steps,
     run_continuous,

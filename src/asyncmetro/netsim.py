@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field, fields
 from heapq import heapify, heappop, heappush
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
@@ -27,7 +28,7 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .models import SpinModel, capped_product
-from .schedule import UpdateSchedule, UpdateId, updates_before
+from .schedule import UpdateSchedule, UpdateId
 
 DECISION_BITS = 1
 
@@ -127,40 +128,30 @@ def phase1_info_bits(n: int, T: float, q: int, m_u: int) -> tuple[int, int]:
 # possible-state sets and resolution thresholds
 
 def possible_states(
-    u: int,
-    t: float,
-    j_u: int,
-    hist_u: Sequence[int],
-    times_u: Sequence[float],
-    proposals_u: Sequence[int],
-    querying_node: int | None = None,
-    horizon: float | None = None,
+    schedule: UpdateSchedule, u: int, v: int, i: int, j_u: int, hist_u: Sequence[int]
 ) -> frozenset[int]:
-    """Set of states neighbor u may hold at time t, given its resolved prefix.
+    """Set of states neighbor u may hold at node v's update i, given u's resolved prefix.
 
     hist_u holds the j_u known post-update states of u (index 0 is the initial
-    value). If t falls before u's j_u-th update the state is pinned to the
-    resolved history; otherwise the set is the last known state plus every
-    proposal of u with update time in [t_u^{j_u}, t]. Exact time ties against
-    t break by node id when querying_node is given (smaller id counts as
-    earlier), else inclusively.
-    """
-    if horizon is not None and not 0.0 <= t < horizon:
-        raise ValueError(f"query time {t} outside [0, {horizon})")
-    if j_u < 1:
-        raise ValueError(f"j_u must be >= 1, got {j_u}")
+    value). With idx of u's updates before (v, i) in schedule.rank's order (as
+    in the engine's window table), the set is {hist_u[idx]} if idx < j_u, else
+    hist_u[-1] and the proposals of u's updates j_u..idx."""
+    n, counts, at = schedule.n, schedule.counts, schedule.starts
+    if not (0 <= u < n and 0 <= v < n) or u == v:
+        raise ValueError(f"need two distinct nodes in 0..{n - 1}, got u={u}, v={v}")
+    if not 1 <= i <= counts[v]:
+        raise ValueError(f"node {v} has no update {i}; it has {counts[v]}")
+    if not 1 <= j_u <= counts[u] + 1:
+        raise ValueError(f"j_u = {j_u} outside 1..{counts[u] + 1}")
     if len(hist_u) != j_u:
         raise ValueError(f"hist has {len(hist_u)} entries, expected j_u = {j_u}")
-    if j_u > len(times_u) + 1:
-        raise ValueError(f"j_u = {j_u} exceeds update count {len(times_u)} + 1")
-    key_node = u + 1 if querying_node is None else querying_node  # u + 1: ties count as earlier
-    idx = updates_before(list(times_u), u, t, key_node)
-    return frozenset(_possible_set(list(proposals_u), hist_u, j_u, idx))
+    idx = int(np.searchsorted(schedule.rank[at[u] : at[u + 1]], schedule.rank[at[v] + i - 1]))
+    return frozenset(_possible_set(schedule.proposals[u].tolist(), hist_u, j_u, idx))
 
 
 def _possible_set(props_u, hist_u, j_u: int, idx: int) -> tuple[int, ...]:
-    """possible_states as a tuple, given idx = updates_before(...) and no
-    argument checks; the engine's route."""
+    """possible_states as a tuple, given idx = the count of u's updates before
+    the query and no argument checks; the engine's route."""
     if idx < j_u:
         return (hist_u[idx],)
     base = hist_u[j_u - 1]
@@ -297,10 +288,11 @@ class _Node:
     hist (initial value first), its possible set S and edge range fmin/fmax,
     win[k][i - 1] = its count of updates before this node's update i, rslot =
     this node's slot in its adjacency, dly and out_last = the delays and the last
-    delivery of the channel to it."""
+    delivery of the channel to it. The node is in Phase I while info_pending,
+    its count of neighbors whose info has not arrived, is above 0."""
 
     __slots__ = (
-        "vid", "nbrs", "m", "proposals", "coins", "phase", "value", "i", "beta", "c_new",
+        "vid", "nbrs", "m", "proposals", "coins", "value", "i", "beta", "c_new",
         "j", "hist", "fmin", "fmax", "S", "win", "rslot", "dly", "out_last", "pending", "info_pending",
         "entry", "term", "done",
     )
@@ -308,7 +300,6 @@ class _Node:
     def __init__(self, vid, nbrs, proposals, coins, y0, win, rslot, dly):
         self.vid, self.nbrs, self.proposals, self.coins = vid, nbrs, proposals, coins
         self.m = len(proposals)
-        self.phase = 1
         self.value = y0[vid]
         self.i = self.c_new = 0
         self.beta = 0.0
@@ -352,17 +343,20 @@ class Simulation:
         self.factor = model.edge_factor_fn
         self.props_l = [p.tolist() for p in schedule.proposals]
         coins_l = [b.tolist() for b in schedule.coins]
-        adj, times = model.graph.adj, schedule.times
+        adj, m, at = model.graph.adj, schedule.counts, schedule.starts
         slot_of = [{u: k for k, u in enumerate(a)} for a in adj]
+        # ranks rise with the index within a node (its times rise), so counting u's
+        # ranks below v's counts u's updates before each of v's in the one order
+        ranks = [schedule.rank[at[v] : at[v + 1]] for v in range(model.n)]
         # each node sends m + 1 Phase-I fragments and m decisions on each channel
-        count = sum(len(adj[v]) * (2 * len(times[v]) + 1) for v in range(model.n))
+        count = sum(len(adj[v]) * (2 * m[v] + 1) for v in range(model.n))
         dly = scheduler.channels([(v, u) for v in range(model.n) for u in adj[v]], count)
         starts = [0, *itertools.accumulate(map(len, adj))]
         if len(dly) != starts[-1]:
             raise ValueError(f"scheduler gave {len(dly)} delay streams for {starts[-1]} channels")
         self.nodes = [
             _Node(v, adj[v], self.props_l[v], coins_l[v], self.y0,
-                  [updates_before(times[u], u, times[v], v).tolist() for u in adj[v]],
+                  [np.searchsorted(ranks[u], ranks[v]).tolist() for u in adj[v]],
                   [slot_of[u][v] for u in adj[v]], dly[starts[v] : starts[v + 1]])
             for v in range(model.n)
         ]
@@ -404,7 +398,6 @@ class Simulation:
     # -- protocol handlers (Phase II) ---------------------------------------
 
     def enter_phase2(self, node: _Node, vtime: float) -> None:
-        node.phase = 2
         node.entry = vtime
         self._record(vtime, "enter", -1, node.vid, "")
         self._advance(node, vtime)
@@ -551,14 +544,14 @@ class Simulation:
                     bits, maxfrag = phase1_info_bits(self.model.n, self.schedule.T, self.model.q, m_u)
                     self._record(vtime, "info", src, dst, f"frags={m_u + 1} bits={bits} maxfrag={maxfrag}")
                 node.info_pending -= 1
-                if node.info_pending == 0 and node.phase == 1:
+                if node.info_pending == 0:
                     self.enter_phase2(node, vtime)
                 continue
-            # a decision: traced, then queued while dst is in Phase I (processed in
-            # arrival order once it enters Phase II) or applied
+            # a decision: traced, then queued while dst is in Phase I, its info still
+            # pending (processed in arrival order once it enters Phase II), or applied
             if trace is not None:
                 trace.append((vtime, "dec", src, dst, f"accept={int(accepted)} j={seq}"))
-            if node.phase == 1:
+            if node.info_pending:
                 node.pending.append((k, accepted, seq))
             else:
                 apply_decision(node, k, accepted, seq, vtime)
@@ -570,7 +563,7 @@ class Simulation:
     def _deadlock_dump(self, stuck: list[_Node]) -> str:
         lines = [f"event queue drained with {len(stuck)} unresolved node(s):"]
         for node in stuck[:5]:
-            if node.phase == 1:
+            if node.info_pending:
                 lines.append(f"  node {node.vid}: still in Phase I ({node.info_pending} info pending)")
                 continue
             lines.append(
@@ -617,6 +610,13 @@ def write_trace(trace: list[tuple], fh: IO[str]) -> None:
         fh.write(f"{vtime!r} {kind} {src} {dst} {payload}\n".rstrip() + "\n")
 
 
+# each event kind's payload keys, in the order the engine renders them; accept is 0 or 1
+_TRACE_KEYS = {"enter": (), "term": (), "info": ("frags", "bits", "maxfrag"),
+               "dec": ("accept", "j"), "resolve": ("i", "accept", "trigger")}
+_TRACE_PAYLOAD = {kind: re.compile(" ".join(f"{k}=([01])" if k == "accept" else f"{k}=(\\S+)" for k in keys))
+                  for kind, keys in _TRACE_KEYS.items()}
+
+
 def replay_trace(fh: IO[str]) -> tuple[RunStats, list[Resolution]]:
     """Rebuild RunStats and resolution records from an exported event trace."""
     entry: dict[int, float] = {}
@@ -629,29 +629,29 @@ def replay_trace(fh: IO[str]) -> tuple[RunStats, list[Resolution]]:
             continue
         try:
             vtime, kind, src, dst = float(parts[0]), parts[1], int(parts[2]), int(parts[3])
-            payload = dict(p.split("=", 1) for p in parts[4:])
+            if kind not in _TRACE_PAYLOAD:
+                raise ValueError(f"unknown trace event kind {kind!r}")
+            payload = _TRACE_PAYLOAD[kind].fullmatch(" ".join(parts[4:]))
+            if payload is None:
+                raise ValueError(f"{kind} payload must be keys {_TRACE_KEYS[kind]} in order, accept 0 or 1")
             if kind == "enter":
                 entry[dst] = vtime
             elif kind == "term":
                 term[dst] = vtime
             elif kind == "info":
                 phase1_messages += 1
-                phase1_fragments += int(payload["frags"])
-                total_bits += int(payload["bits"])
-                max_bits = max(max_bits, int(payload["maxfrag"]))
+                phase1_fragments += int(payload[1])
+                total_bits += int(payload[2])
+                max_bits = max(max_bits, int(payload[3]))
             elif kind == "dec":
                 decision_messages += 1
                 total_bits += DECISION_BITS
                 max_bits = max(max_bits, DECISION_BITS)
-            elif kind == "resolve":
-                trig = payload["trigger"]
-                tid = None if trig == "self" else UpdateId(*(int(x) for x in trig.split(":")))
-                resolutions.append(
-                    Resolution(dst, int(payload["i"]), bool(int(payload["accept"])), vtime, tid)
-                )
             else:
-                raise ValueError(f"unknown trace event kind {kind!r}")
-        except (IndexError, KeyError, TypeError, ValueError) as exc:
+                trig = payload[3]
+                tid = None if trig == "self" else UpdateId(*(int(x) for x in trig.split(":")))
+                resolutions.append(Resolution(dst, int(payload[1]), payload[2] == "1", vtime, tid))
+        except (IndexError, TypeError, ValueError) as exc:
             raise ValueError(f"trace line {lineno}: {exc!r} in {line.strip()!r}") from None
     nodes = sorted(entry)
     if nodes != sorted(term):

@@ -150,38 +150,6 @@ def total_variation(p: dict[tuple[int, ...], float], q: dict[tuple[int, ...], fl
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
-@dataclass(frozen=True)
-class PoissonBridge:
-    """Pois(nT) step-count summary linking the continuous and discrete chains."""
-
-    mean: float
-
-    def lower_tail(self, eps: float) -> float:
-        """Bound on Pr[N <= (1-eps)*mean] for 0 <= eps < 1."""
-        if not 0.0 <= eps < 1.0:
-            raise ValueError(f"eps must lie in [0, 1), got {eps}")
-        return math.exp(-eps * eps * self.mean / 2.0)
-
-    def upper_tail(self, eps: float) -> float:
-        """Bound on Pr[N >= (1+eps)*mean] for 0 <= eps < 1."""
-        if not 0.0 <= eps < 1.0:
-            raise ValueError(f"eps must lie in [0, 1), got {eps}")
-        return math.exp(-eps * eps * self.mean / 3.0)
-
-    def far_tail(self, t: float) -> float:
-        """Bound 2^-t on Pr[N >= t], valid only for t >= 5*mean."""
-        if t < 5.0 * self.mean:
-            raise ValueError(f"far tail bound needs t >= 5*mean = {5.0 * self.mean}, got {t}")
-        return 2.0 ** (-t)
-
-
-def discrete_continuous_bridge(T: float, n: int) -> PoissonBridge:
-    """Y_T matches X_N for N ~ Pois(n*T); summarize that step count."""
-    if T <= 0 or n <= 0:
-        raise ValueError(f"need T > 0 and n > 0, got T={T}, n={n}")
-    return PoissonBridge(mean=float(n) * float(T))
-
-
 def horizon_for_steps(T: float, n: int) -> float:
     """Continuous horizon T' = 2T + 8 ln n giving >= nT discrete steps whp."""
     if T < 0 or n < 1:

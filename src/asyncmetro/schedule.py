@@ -144,16 +144,6 @@ def total_order(schedule: UpdateSchedule) -> list[UpdateId]:
     return [schedule.update_at(pos) for pos in schedule.order.tolist()]
 
 
-def updates_before(times, u: int, t, querying_node: int):
-    """Count of node u's updates strictly before the order key (t, querying_node).
-
-    Exact time ties across nodes break toward the smaller node id, as in
-    UpdateSchedule.order. This is the one count of a node's updates before a
-    key; t may be one time or an array of times (one count each).
-    """
-    return np.searchsorted(times, t, side="right" if u < querying_node else "left")
-
-
 def dump(schedule: UpdateSchedule, fh: IO[str]) -> None:
     """Line-oriented text form: header "n T seed", then "node index time proposal coin"."""
     fh.write(f"{schedule.n} {schedule.T!r} {schedule.seed}\n")

@@ -441,13 +441,23 @@ class TestCli:
         with pytest.raises(ConfigError, match="run"):
             harness.empirical_tv(harness.load_config(path), runs=int(runs))
 
-    @pytest.mark.parametrize("bad", ["0.5 info 1", "0.5 info 0 1 bits=3 maxfrag=2"],
-                             ids=["too-few-fields", "missing-payload-key"])
+    @pytest.mark.parametrize("bad", [
+        "0.5 info 1",
+        "0.5 info 0 1 bits=3 maxfrag=2",
+        "0.0 enter -1 0 extra=1",
+        "0.5 dec 1 0 foo=bar",
+        "0.5 resolve -1 0 i=1 accept=1 trigger=self junk=2",
+        "0.5 dec 1 0 j=1 accept=1",
+        "0.5 dec 1 0 accept=2 j=1",
+        "0.5 resolve -1 0 i=1 accept=yes trigger=self",
+    ], ids=["too-few-fields", "missing-payload-key", "enter-extra-key", "dec-unknown-key",
+            "resolve-extra-key", "keys-out-of-order", "dec-accept-2", "resolve-accept-yes"])
     def test_malformed_trace_exits_2(self, tmp_path, capsys, bad):
         trace = tmp_path / "trace.txt"
         trace.write_text(f"0.0 enter -1 0\n{bad}\n")
         assert cli.main(["replay-trace", str(trace)]) == 2
-        assert "trace line 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "trace line 2" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["abc", "0", "-1"])
     @pytest.mark.parametrize("command", ["sweep", "tv-test"])

@@ -29,38 +29,52 @@ from asyncmetro import (
     run_continuous,
     thresholds,
     thresholds_bruteforce,
-    updates_before,
 )
 from asyncmetro.netsim import phase1_init_bits, phase1_update_bits, replay_trace, write_trace
 from tests.test_schedule import make_manual
 
 
 class TestPossibleStates:
+    # neighbor u = 0 with updates at 0.2 and 0.4 (proposals 5, 7); node 1 queries
+    # at its updates 0.1, 0.5 and 0.6
+    SCHED = make_manual(1.0, [[0.2, 0.4], [0.1, 0.5, 0.6]], proposals=[[5, 7], [0, 0, 0]], q=8)
+
     def test_no_updates_before_t_pins_initial_value(self):
-        assert possible_states(0, 0.5, 1, [7], [], []) == frozenset({7})
+        assert possible_states(self.SCHED, 0, 1, 1, 1, [2]) == frozenset({2})
 
     def test_unresolved_window_collects_proposals(self):
-        s = possible_states(0, 0.5, 1, [2], [0.2, 0.4], [5, 7])
-        assert s == frozenset({2, 5, 7})
+        assert possible_states(self.SCHED, 0, 1, 2, 1, [2]) == frozenset({2, 5, 7})
 
     def test_fully_resolved_prefix_is_singleton(self):
         # both updates resolved (accept then reject): history 2, 5, 5
-        s = possible_states(0, 0.5, 3, [2, 5, 5], [0.2, 0.4], [5, 7])
-        assert s == frozenset({5})
+        assert possible_states(self.SCHED, 0, 1, 3, 3, [2, 5, 5]) == frozenset({5})
 
     def test_window_is_time_inclusive(self):
-        s = possible_states(0, 0.4, 1, [2], [0.2, 0.4], [5, 7], querying_node=1)
-        assert s == frozenset({2, 5, 7})  # node 0 sorts before the querying node 1
-        s = possible_states(1, 0.4, 1, [2], [0.2, 0.4], [5, 7], querying_node=0)
-        assert s == frozenset({2, 5})  # tie at 0.4 now counts after the query
-
-    def test_horizon_guard(self):
-        with pytest.raises(ValueError):
-            possible_states(0, 1.0, 1, [2], [0.2], [5], horizon=1.0)
+        # node 0 at 0.1, 0.5, 1.0 and node 1 at 0.2, 0.5, 0.9 tie exactly at 0.5;
+        # the window includes the tie only from the smaller node id
+        s = make_manual(2.0, [[0.1, 0.5, 1.0], [0.2, 0.5, 0.9]], proposals=[[1, 2, 3], [5, 7, 9]], q=10)
+        assert possible_states(s, 1, 0, 1, 1, [0]) == frozenset({0})
+        assert possible_states(s, 1, 0, 2, 1, [0]) == frozenset({0, 5})  # 1 > 0: tie counts after
+        assert possible_states(s, 1, 0, 3, 1, [0]) == frozenset({0, 5, 7, 9})
+        assert possible_states(s, 0, 1, 2, 1, [0]) == frozenset({0, 1, 2})  # 0 < 1: tie counts before
+        assert possible_states(s, 0, 1, 3, 3, [0, 1, 1]) == frozenset({1})
 
     def test_hist_length_must_match_j(self):
-        with pytest.raises(ValueError):
-            possible_states(0, 0.5, 2, [2], [0.2], [5])
+        with pytest.raises(ValueError, match="hist"):
+            possible_states(self.SCHED, 0, 1, 2, 2, [2])
+
+    @pytest.mark.parametrize("u, v, i, j_u, match", [
+        (2, 1, 1, 1, "distinct nodes"),
+        (0, -1, 1, 1, "distinct nodes"),
+        (1, 1, 1, 1, "distinct nodes"),
+        (0, 1, 0, 1, "no update 0"),
+        (0, 1, 4, 1, "no update 4"),
+        (0, 1, 1, 0, "j_u = 0"),
+        (0, 1, 1, 4, "j_u = 4"),
+    ], ids=["unknown-u", "unknown-v", "equal-nodes", "update-0", "update-past-m", "j-0", "j-past-m-plus-1"])
+    def test_bad_arguments_rejected(self, u, v, i, j_u, match):
+        with pytest.raises(ValueError, match=match):
+            possible_states(self.SCHED, u, v, i, j_u, [0] * j_u)
 
 
 class TestThresholds:
@@ -365,14 +379,13 @@ class TestFastPaths:
                 times_u = s.times[u].tolist()
                 assert len(node.win[k]) == len(s.times[v])
                 for i, t in enumerate(s.times[v].tolist(), start=1):
-                    want = updates_before(times_u, u, t, v)
+                    # the count from the (time, node id) order written out directly
+                    want = sum((tu, u) < (t, v) for tu in times_u)
                     assert node.win[k][i - 1] == want, (v, u, i)
-                    # the same count from the (time, node id) order directly
-                    assert want == sum((tu, u) < (t, v) for tu in times_u)
                     checked += 1
         return checked
 
-    def test_window_table_matches_updates_before(self):
+    def test_window_table_matches_tuple_count(self):
         rng = np.random.default_rng(21)
         checked = 0
         for _ in range(20):
@@ -446,7 +459,7 @@ class TestTraceReplay:
         assert resolutions == res.resolutions
 
     def test_replay_rejects_garbage(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown trace event kind"):
             replay_trace(io.StringIO("0.5 bogus 0 1\n"))
 
 

@@ -9,7 +9,6 @@ import pytest
 
 from asyncmetro import (
     cycle_graph,
-    discrete_continuous_bridge,
     empty_graph,
     exact_distribution,
     generate,
@@ -208,28 +207,11 @@ class TestExactDistribution:
 
 
 class TestBridge:
-    def test_mean(self):
-        assert discrete_continuous_bridge(1.0, 100).mean == 100.0
-
-    def test_lower_tail_value(self):
-        b = discrete_continuous_bridge(1.0, 100)
-        assert b.lower_tail(0.5) == pytest.approx(math.exp(-12.5))
-
-    def test_upper_tail_value(self):
-        b = discrete_continuous_bridge(1.0, 100)
-        assert b.upper_tail(0.5) == pytest.approx(math.exp(-25 / 3))
-
-    def test_far_tail(self):
-        b = discrete_continuous_bridge(1.0, 100)
-        assert b.far_tail(500) == pytest.approx(2.0**-500)
-        with pytest.raises(ValueError):
-            b.far_tail(499)
-
     def test_horizon_for_steps(self):
         assert horizon_for_steps(10.0, 100) == pytest.approx(20 + 8 * math.log(100))
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            discrete_continuous_bridge(0.0, 10)
+            horizon_for_steps(-1.0, 10)
         with pytest.raises(ValueError):
-            discrete_continuous_bridge(1.0, 0)
+            horizon_for_steps(1.0, 0)

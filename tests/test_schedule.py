@@ -17,7 +17,6 @@ from asyncmetro import (
     make_coloring,
     make_hardcore,
     total_order,
-    updates_before,
 )
 from asyncmetro import schedule as sched_mod
 
@@ -179,15 +178,6 @@ class TestTotalOrder:
         order = total_order(s)
         for v in range(4):
             assert [u.index for u in order if u.node == v] == list(range(1, s.counts[v] + 1))
-
-
-class TestUpdatesBefore:
-    def test_strictly_before(self):
-        times = [0.2, 0.5, 0.9]
-        assert updates_before(times, 1, 0.5, 0) == 1  # 1 > 0: tie counts after
-        assert updates_before(times, 0, 0.5, 1) == 2  # 0 < 1: tie counts before
-        assert updates_before(times, 2, 0.1, 0) == 0
-        assert updates_before(times, 2, 1.0, 0) == 3
 
 
 class TestDumpLoad:
