@@ -9,8 +9,9 @@ ships each node's initial value and update list to its neighbors
 once every neighbor's info has fully arrived, then resolves its updates in
 order. An update resolves as soon as the coupled coin beta falls below the
 minimum acceptance probability P_AC or at/above 1 - P_RE, both computed over
-the product of per-neighbor possible-state sets; each received Accept/Reject
-narrows those sets and retriggers the test.
+the product of per-neighbor possible-state sets (a filter-only model instead
+resolves once beta < f has one answer on every completion of the sets); each
+received Accept/Reject narrows those sets and retriggers the test.
 
 Local computation is instantaneous in virtual time; the virtual clock is a
 separate axis from the chain's Poisson time in [0, T].
@@ -211,6 +212,14 @@ def thresholds_bruteforce(
     model: SpinModel, v: int, c: int, c_new: int, neighbor_states: Sequence[Iterable[int]]
 ) -> tuple[float, float]:
     """Reference thresholds by explicit enumeration of the product of state sets."""
+    lo, hi = filter_range(model, v, c, c_new, neighbor_states)
+    return lo, 1.0 - hi
+
+
+def filter_range(
+    model: SpinModel, v: int, c: int, c_new: int, neighbor_states: Sequence[Iterable[int]]
+) -> tuple[float, float]:
+    """(min f, max f) of the filter over the product of state sets, by enumeration."""
     sets = _check_state_sets(model, v, neighbor_states)
     filt = model._filter_raw
     lo, hi = 1.0, 0.0
@@ -220,7 +229,7 @@ def thresholds_bruteforce(
             lo = f
         if f > hi:
             hi = f
-    return lo, 1.0 - hi
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +484,28 @@ class Simulation:
                         f"{(pac, 1.0 - acc_sup)}, enumeration {expected}, proposal {node.c_new}, sets {node.S}"
                     )
         else:
-            pac, pre = thresholds_bruteforce(self.model, node.vid, node.value, node.c_new, node.S)
-            acc_sup = 1.0 - pre
+            # filter only: the update resolves when every completion of the live
+            # sets gives the oracle's test beta < f the same answer, so the walk
+            # stops at the first two completions that disagree
+            v, c, c_new, beta, filt = node.vid, node.value, node.c_new, node.beta, self.model.filter_fn
+            completions = itertools.product(*node.S)
+            first = next(completions, None)
+            if first is None:
+                raise SimulationInvariantError(f"empty possible-state set at node {v}, sets {node.S}")
+            res = bool(beta < filt(v, c, c_new, first))
+            for tau in completions:
+                if (beta < filt(v, c, c_new, tau)) != res:
+                    res = None
+                    break
+            if self.paranoid:  # must equal the test against enumeration's min f and max f
+                lo, hi = filter_range(self.model, v, c, c_new, node.S)
+                expected = True if beta < lo else False if beta >= hi else None
+                if res is not expected:
+                    raise SimulationInvariantError(
+                        f"filter-only mismatch at node {v}, update {node.i}: engine {res}, enumeration "
+                        f"{expected} (min f {lo!r}, max f {hi!r}), beta {beta!r}, proposal {c_new}, sets {node.S}"
+                    )
+            return res
         if node.beta < pac:
             return True
         if node.beta >= acc_sup:
@@ -610,10 +639,12 @@ def write_trace(trace: list[tuple], fh: IO[str]) -> None:
         fh.write(f"{vtime!r} {kind} {src} {dst} {payload}\n".rstrip() + "\n")
 
 
-# each event kind's payload keys, in the order the engine renders them; accept is 0 or 1
+# each event kind's payload keys, in the order the engine renders them, and the
+# pattern of each key's value
 _TRACE_KEYS = {"enter": (), "term": (), "info": ("frags", "bits", "maxfrag"),
                "dec": ("accept", "j"), "resolve": ("i", "accept", "trigger")}
-_TRACE_PAYLOAD = {kind: re.compile(" ".join(f"{k}=([01])" if k == "accept" else f"{k}=(\\S+)" for k in keys))
+_TRACE_VALUES = {"accept": "[01]", "trigger": "self|[0-9]+:[0-9]+"}
+_TRACE_PAYLOAD = {kind: re.compile(" ".join(f"{k}=({_TRACE_VALUES.get(k, '[0-9]+')})" for k in keys))
                   for kind, keys in _TRACE_KEYS.items()}
 
 
@@ -633,7 +664,7 @@ def replay_trace(fh: IO[str]) -> tuple[RunStats, list[Resolution]]:
                 raise ValueError(f"unknown trace event kind {kind!r}")
             payload = _TRACE_PAYLOAD[kind].fullmatch(" ".join(parts[4:]))
             if payload is None:
-                raise ValueError(f"{kind} payload must be keys {_TRACE_KEYS[kind]} in order, accept 0 or 1")
+                raise ValueError(f"{kind} payload must match {_TRACE_PAYLOAD[kind].pattern!r}")
             if kind == "enter":
                 entry[dst] = vtime
             elif kind == "term":

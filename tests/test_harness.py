@@ -450,8 +450,16 @@ class TestCli:
         "0.5 dec 1 0 j=1 accept=1",
         "0.5 dec 1 0 accept=2 j=1",
         "0.5 resolve -1 0 i=1 accept=yes trigger=self",
+        "0.5 dec 1 0 accept=1 j=abc",
+        "0.5 dec 1 0 accept=1 j=1.5",
+        "0.5 dec 1 0 accept=1 j=-1",
+        "0.5 resolve -1 0 i=-1 accept=1 trigger=self",
+        "0.5 resolve -1 0 i=1 accept=1 trigger=1:x",
+        "0.5 info 1 0 frags=2 bits=9 maxfrag=nan",
     ], ids=["too-few-fields", "missing-payload-key", "enter-extra-key", "dec-unknown-key",
-            "resolve-extra-key", "keys-out-of-order", "dec-accept-2", "resolve-accept-yes"])
+            "resolve-extra-key", "keys-out-of-order", "dec-accept-2", "resolve-accept-yes",
+            "dec-j-abc", "dec-j-float", "dec-j-negative", "resolve-i-negative",
+            "resolve-trigger-bad", "info-maxfrag-nan"])
     def test_malformed_trace_exits_2(self, tmp_path, capsys, bad):
         trace = tmp_path / "trace.txt"
         trace.write_text(f"0.0 enter -1 0\n{bad}\n")

@@ -228,7 +228,7 @@ class TestRun:
             run(m, s, [0, 1, 0, 7], SynchronousScheduler())
 
     def test_custom_filter_without_edge_factors(self):
-        # brute-force threshold path must also couple exactly
+        # the filter-only path, the oracle's beta < f over every completion, must also couple exactly
         from asyncmetro import SpinModel
 
         g = cycle_graph(5)
@@ -315,6 +315,11 @@ def _soft_model(g):
     return SpinModel(g, 3, np.full((g.n, 3), 1.0 / 3), edge_factor_fn=factor)
 
 
+def _soft_filter(v, c, cn, tau):
+    # a filter-only model: acceptance falls with the neighbors that hold the proposal
+    return 1.0 / (1.0 + sum(1 for b in tau if b == cn))
+
+
 class TestParanoidCheck:
     def test_runs_clean_on_every_edge_factor_model(self):
         # paranoid mode recomputes every engine threshold by enumeration of
@@ -332,6 +337,32 @@ class TestParanoidCheck:
                 res = run(m, s, y0, make_scheduler(policy, seed=k), paranoid=True)
                 assert np.array_equal(res.final, expected), (m.kind, policy)
 
+    def test_runs_clean_on_filter_only_models(self):
+        # paranoid mode checks every filter-only outcome against the test on
+        # enumeration's min f and max f
+        rng = np.random.default_rng(6)
+        for k in range(8):
+            n = int(rng.integers(3, 9))
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+            m = SpinModel(g, 3, np.full((n, 3), 1.0 / 3), filter_fn=_soft_filter)
+            s = generate(m, 4.0, int(rng.integers(10**6)))
+            y0 = rng.integers(0, m.q, n)
+            expected = run_continuous(m, s, y0).final
+            for policy in ("synchronous", "uniform"):
+                res = run(m, s, y0, make_scheduler(policy, seed=k), paranoid=True)
+                assert np.array_equal(res.final, expected), policy
+
+    def test_detects_wrong_filter_range(self, monkeypatch):
+        m = SpinModel(cycle_graph(6), 3, np.full((6, 3), 1.0 / 3), filter_fn=_soft_filter)
+        s = generate(m, 3.0, 4)
+        y0 = [0, 1, 2, 0, 1, 2]
+        run(m, s, y0, SynchronousScheduler(), paranoid=True)
+        right = netsim.filter_range
+        monkeypatch.setattr(netsim, "filter_range", lambda *args: tuple(0.5 * x for x in right(*args)))
+        run(m, s, y0, SynchronousScheduler())  # the fault itself raises nothing
+        with pytest.raises(SimulationInvariantError, match="filter-only mismatch"):
+            run(m, s, y0, SynchronousScheduler(), paranoid=True)
+
     def test_detects_wrong_edge_range(self, monkeypatch):
         m = make_ising(cycle_graph(6), 0.5)
         s = generate(m, 3.0, 4)
@@ -342,6 +373,68 @@ class TestParanoidCheck:
         run(m, s, y0, SynchronousScheduler())  # the fault itself raises nothing
         with pytest.raises(SimulationInvariantError, match="threshold mismatch"):
             run(m, s, y0, SynchronousScheduler(), paranoid=True)
+
+
+class TestFilterOnly:
+    """Filter-only models resolve by the oracle's own test, beta < f, over every
+    completion of the live sets. 1 - (1 - x) != x for x = 0.1 and 0.3, so a
+    bound formed as 1 - P_RE would misplace coins that sit on a filter value."""
+
+    @staticmethod
+    def _two_nodes(filter_fn, coin):
+        # node 1 proposes 0 at 0.3 and rejects (coin 0.9), so it stays 1; node 0
+        # proposes 1 at 0.5 while its set for node 1 is still {0, 1}
+        m = SpinModel(path_graph(2), 2, np.full((2, 2), 0.5), filter_fn=filter_fn)
+        return m, make_manual(1.0, [[0.5], [0.3]], proposals=[[1], [0]], coins=[[coin], [0.9]], q=2)
+
+    def _assert_couples(self, m, s, y0):
+        expected = run_continuous(m, s, y0).final
+        for policy in ("synchronous", "uniform"):
+            res = run(m, s, y0, make_scheduler(policy, seed=1), paranoid=True)
+            assert np.array_equal(res.final, expected), policy
+
+    def test_coin_on_constant_filter_rejects(self):
+        # beta = f = 0.3 rejects in the oracle; 1 - (1 - 0.3) > 0.3 left it
+        # undecided on every completion, and the event queue drained
+        m, s = self._two_nodes(lambda v, c, cn, tau: 0.3, 0.3)
+        assert run_continuous(m, s, [0, 1]).final.tolist() == [0, 1]
+        self._assert_couples(m, s, [0, 1])
+
+    def test_coin_below_max_filter_does_not_reject_early(self):
+        # beta = 1 - (1 - 0.1) < 0.1 = f at the neighbor's true state 1, so the
+        # oracle accepts; the rounded bound rejected while the set was {0, 1}
+        m, s = self._two_nodes(lambda v, c, cn, tau: 0.1 if tau[0] == 1 else 0.05, 1.0 - (1.0 - 0.1))
+        assert run_continuous(m, s, [0, 1]).final.tolist() == [1, 1]
+        self._assert_couples(m, s, [0, 1])
+
+    def test_boundary_coupling_on_tie_grid(self):
+        # filter values where 1 - (1 - x) != x, plus 0 and 1; coins on those
+        # values and their 1 - (1 - x) images; times on an exact-tie grid
+        values = (0.0, 0.1, 0.3, 1.0)
+        coin_grid = np.array(sorted({x for v in values[:3] for x in (v, 1.0 - (1.0 - v))}))
+        grid = np.array([0.25, 0.5, 0.75, 1.0, 1.5])
+        filters = (
+            lambda v, c, cn, tau: values[(c + cn + sum(tau)) % 4],
+            lambda v, c, cn, tau: values[min(3, sum(b == cn for b in tau))],
+        )
+        rng = np.random.default_rng(12)
+        for k in range(200):
+            n = int(rng.integers(2, 7))
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+            q = int(rng.integers(2, 4))
+            m = SpinModel(g, q, np.full((n, q), 1.0 / q), filter_fn=filters[k % 2])
+            times = [grid[rng.random(len(grid)) < 0.6] for _ in range(n)]
+            s = make_manual(
+                2.0, times, q=q,
+                proposals=[rng.integers(0, q, len(t)) for t in times],
+                coins=[rng.choice(coin_grid, len(t)) for t in times],
+            )
+            y0 = rng.integers(0, q, n)
+            expected = run_continuous(m, s, y0).final
+            for policy in ("synchronous", "uniform", "adversarial-max"):
+                res = run(m, s, y0, make_scheduler(policy, seed=k), paranoid=True)
+                assert np.array_equal(res.final, expected), (k, policy)
+                phase2_residence(res, verify=True)
 
 
 class TestExactTies:
