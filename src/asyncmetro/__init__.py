@@ -38,11 +38,11 @@ from .netsim import (
     SimulationResult,
     SynchronousScheduler,
     UniformRandomScheduler,
+    filter_range,
     make_scheduler,
     possible_states,
     run,
     thresholds,
-    thresholds_bruteforce,
 )
 from .instrument import (
     ResidenceReport,

@@ -24,7 +24,7 @@ _SPIN = (-1, 1)
 
 # Safety net for user-supplied edge factors of extreme magnitude: running
 # products are capped to avoid inf*0 = nan. The cap is applied identically on
-# every evaluation route (filter, closed-form thresholds, brute force), so
+# every evaluation route (filter, closed-form thresholds, enumeration), so
 # all routes stay mutually consistent even when it engages; built-in models
 # validate their parameters so it never does.
 _PRODUCT_CAP = 1e300
@@ -129,10 +129,6 @@ class SpinModel:
         if self.edge_factor_fn is None:
             raise ValueError(f"model kind {self.kind!r} has no edge-factor decomposition")
         return self.edge_factor_fn(v, u, c, c_new, b)
-
-    @property
-    def has_edge_factors(self) -> bool:
-        return self.edge_factor_fn is not None
 
     def __repr__(self) -> str:
         return f"SpinModel(kind={self.kind!r}, q={self.q}, {self.graph!r})"

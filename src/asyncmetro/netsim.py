@@ -7,11 +7,11 @@ engine takes one per message sent and checks it against (0, 1]. Phase I
 ships each node's initial value and update list to its neighbors
 (serialized on the channel, one fragment per update); a node enters Phase II
 once every neighbor's info has fully arrived, then resolves its updates in
-order. An update resolves as soon as the coupled coin beta falls below the
-minimum acceptance probability P_AC or at/above 1 - P_RE, both computed over
-the product of per-neighbor possible-state sets (a filter-only model instead
-resolves once beta < f has one answer on every completion of the sets); each
-received Accept/Reject narrows those sets and retriggers the test.
+order. An update accepts as soon as the coupled coin beta falls below min f
+and rejects once beta >= max f, with f ranging over the product of the
+per-neighbor possible-state sets (a filter-only model instead resolves once
+beta < f has one answer on every completion of the sets); each received
+Accept/Reject narrows those sets and retriggers the test.
 
 Local computation is instantaneous in virtual time; the virtual clock is a
 separate axis from the chain's Poisson time in [0, T].
@@ -182,44 +182,42 @@ def _check_state_sets(model: SpinModel, v: int, neighbor_states) -> list[tuple[i
 def thresholds(
     model: SpinModel, v: int, c: int, c_new: int, neighbor_states: Sequence[Iterable[int]]
 ) -> tuple[float, float]:
-    """(P_AC, P_RE) for resolving node v's move c -> c_new under the given
-    per-neighbor possible-state sets (sorted-adjacency order).
+    """(min f, max f) of the filter for node v's move c -> c_new over the product
+    of the per-neighbor possible-state sets (sorted-adjacency order): the update
+    accepts when beta < min f and rejects when beta >= max f.
 
     Uses the per-edge min/max closed form when the model has edge factors,
-    otherwise falls back to enumeration of the product space.
+    otherwise enumerates the product (filter_range).
     """
-    sets = _check_state_sets(model, v, neighbor_states)
-    if not model.has_edge_factors:
-        return thresholds_bruteforce(model, v, c, c_new, sets)
     factor = model.edge_factor_fn
+    if factor is None:
+        return filter_range(model, v, c, c_new, neighbor_states)
+    sets = _check_state_sets(model, v, neighbor_states)
     ranges = [edge_range(factor, v, u, c, c_new, S) for u, S in zip(model.graph.adj[v], sets)]
-    return capped_product(lo for lo, _ in ranges), 1.0 - capped_product(hi for _, hi in ranges)
+    return capped_product(lo for lo, _ in ranges), capped_product(hi for _, hi in ranges)
 
 
 def edge_range(factor, v: int, u: int, c: int, c_new: int, S: Sequence[int]) -> tuple[float, float]:
-    """(min, max) of the edge factor g(v, u, c, c_new, b) over the states b in S."""
-    lo = hi = factor(v, u, c, c_new, S[0])
-    for b in S[1:]:
+    """(min, max) of the edge factor g(v, u, c, c_new, b) over the states b in S.
+    Raises ValueError on a factor that is NaN or negative: the product of the
+    per-edge minima is min f only when every factor is >= 0."""
+    lo, hi = math.inf, -math.inf
+    for b in S:
         x = factor(v, u, c, c_new, b)
+        if not x >= 0.0:
+            raise ValueError(f"edge factor g(v={v}, u={u}, c={c}, c'={c_new}, b={b}) = {x!r}, need >= 0")
         if x < lo:
             lo = x
-        elif x > hi:
+        if x > hi:
             hi = x
     return lo, hi
-
-
-def thresholds_bruteforce(
-    model: SpinModel, v: int, c: int, c_new: int, neighbor_states: Sequence[Iterable[int]]
-) -> tuple[float, float]:
-    """Reference thresholds by explicit enumeration of the product of state sets."""
-    lo, hi = filter_range(model, v, c, c_new, neighbor_states)
-    return lo, 1.0 - hi
 
 
 def filter_range(
     model: SpinModel, v: int, c: int, c_new: int, neighbor_states: Sequence[Iterable[int]]
 ) -> tuple[float, float]:
-    """(min f, max f) of the filter over the product of state sets, by enumeration."""
+    """(min f, max f) of the filter over the product of state sets, by
+    enumeration; the reference for every closed-form and engine threshold."""
     sets = _check_state_sets(model, v, neighbor_states)
     filt = model._filter_raw
     lo, hi = 1.0, 0.0
@@ -472,22 +470,16 @@ class Simulation:
 
     def try_resolve(self, node: _Node) -> bool | None:
         """Test the two resolution conditions, accept first; None = undecided."""
+        beta = node.beta
         if self.factor is not None:
             # slot order is adjacency order, the order the filter multiplies in
-            pac = capped_product(node.fmin)
-            acc_sup = capped_product(node.fmax)  # equals 1 - P_RE
-            if self.paranoid:  # must equal enumeration on the live sets, bit for bit
-                expected = thresholds_bruteforce(self.model, node.vid, node.value, node.c_new, node.S)
-                if (pac, 1.0 - acc_sup) != expected:
-                    raise SimulationInvariantError(
-                        f"threshold mismatch at node {node.vid}, update {node.i}: engine (P_AC, P_RE) = "
-                        f"{(pac, 1.0 - acc_sup)}, enumeration {expected}, proposal {node.c_new}, sets {node.S}"
-                    )
+            lo, hi = capped_product(node.fmin), capped_product(node.fmax)
+            res = True if beta < lo else False if beta >= hi else None
         else:
             # filter only: the update resolves when every completion of the live
             # sets gives the oracle's test beta < f the same answer, so the walk
             # stops at the first two completions that disagree
-            v, c, c_new, beta, filt = node.vid, node.value, node.c_new, node.beta, self.model.filter_fn
+            v, c, c_new, filt = node.vid, node.value, node.c_new, self.model.filter_fn
             completions = itertools.product(*node.S)
             first = next(completions, None)
             if first is None:
@@ -497,20 +489,17 @@ class Simulation:
                 if (beta < filt(v, c, c_new, tau)) != res:
                     res = None
                     break
-            if self.paranoid:  # must equal the test against enumeration's min f and max f
-                lo, hi = filter_range(self.model, v, c, c_new, node.S)
-                expected = True if beta < lo else False if beta >= hi else None
-                if res is not expected:
-                    raise SimulationInvariantError(
-                        f"filter-only mismatch at node {v}, update {node.i}: engine {res}, enumeration "
-                        f"{expected} (min f {lo!r}, max f {hi!r}), beta {beta!r}, proposal {c_new}, sets {node.S}"
-                    )
-            return res
-        if node.beta < pac:
-            return True
-        if node.beta >= acc_sup:
-            return False
-        return None
+            lo = hi = None  # no closed form
+        if self.paranoid:  # outcome and closed form must match enumeration, bit for bit
+            flo, fhi = filter_range(self.model, node.vid, node.value, node.c_new, node.S)
+            expected = True if beta < flo else False if beta >= fhi else None
+            if res is not expected or (lo is not None and (lo, hi) != (flo, fhi)):
+                raise SimulationInvariantError(
+                    f"resolution mismatch at node {node.vid}, update {node.i}: engine {res} from (min f, max f) "
+                    f"{(lo, hi)}, enumeration {expected} from {(flo, fhi)}, beta {beta!r}, proposal {node.c_new}, "
+                    f"sets {node.S}"
+                )
+        return res
 
     def _cascade(self, node: _Node, vtime: float, trigger: tuple[int, int] | None) -> None:
         while True:

@@ -14,6 +14,7 @@ from asyncmetro import (
     cycle_graph,
     empty_graph,
     exact_distribution,
+    filter_range,
     generate,
     greedy_coloring,
     grid_graph,
@@ -28,7 +29,6 @@ from asyncmetro import (
     run,
     run_continuous,
     thresholds,
-    thresholds_bruteforce,
     total_variation,
 )
 from asyncmetro.harness import FIT_R2_LIMIT, TV_LIMIT, fit_log_n
@@ -109,7 +109,7 @@ def test_criterion_2_threshold_equivalence():
         if math.prod(len(s) for s in sets) > 10_000:
             continue
         fast = thresholds(model, v, c, cn, sets)
-        brute = thresholds_bruteforce(model, v, c, cn, sets)
+        brute = filter_range(model, v, c, cn, sets)
         worst = max(worst, abs(fast[0] - brute[0]), abs(fast[1] - brute[1]))
         checked += 1
     _report(2, "threshold equivalence", worst <= 1e-12, f"{checked} instances, worst gap {worst:.3e}")

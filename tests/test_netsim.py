@@ -17,6 +17,7 @@ from asyncmetro import (
     SynchronousScheduler,
     cycle_graph,
     empty_graph,
+    filter_range,
     generate,
     make_coloring,
     make_hardcore,
@@ -28,7 +29,6 @@ from asyncmetro import (
     run,
     run_continuous,
     thresholds,
-    thresholds_bruteforce,
 )
 from asyncmetro.netsim import phase1_init_bits, phase1_update_bits, replay_trace, write_trace
 from tests.test_schedule import make_manual
@@ -84,13 +84,26 @@ class TestThresholds:
 
     def test_both_branches_possible_is_unresolved(self, coloring5):
         # enumerating {1,3} x {2}: one config accepts, one rejects
-        assert thresholds(coloring5, 1, 0, 3, [{1, 3}, {2}]) == (0.0, 0.0)
+        assert thresholds(coloring5, 1, 0, 3, [{1, 3}, {2}]) == (0.0, 1.0)
 
     def test_proposal_outside_all_sets_forces_accept(self, coloring5):
-        assert thresholds(coloring5, 1, 0, 4, [{1, 3}, {2}]) == (1.0, 0.0)
+        assert thresholds(coloring5, 1, 0, 4, [{1, 3}, {2}]) == (1.0, 1.0)
 
     def test_singleton_match_forces_reject(self, coloring5):
-        assert thresholds(coloring5, 0, 0, 2, [{2}]) == (0.0, 1.0)
+        assert thresholds(coloring5, 0, 0, 2, [{2}]) == (0.0, 0.0)
+
+    def test_filter_only_returns_filter_values_unrounded(self):
+        # (min f, max f) as the filter gives them: a bound formed as
+        # 1 - (1 - 0.3) would read 0.30000000000000004
+        m = SpinModel(path_graph(2), 2, np.full((2, 2), 0.5), filter_fn=lambda v, c, cn, tau: 0.3)
+        assert thresholds(m, 0, 0, 1, [{0, 1}]) == (0.3, 0.3)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.5], ids=["nan", "negative"])
+    def test_bad_edge_factor_rejected(self, bad):
+        m = SpinModel(path_graph(2), 2, np.full((2, 2), 0.5),
+                      edge_factor_fn=lambda v, u, c, cn, b: bad if b == 1 else 0.5)
+        with pytest.raises(ValueError, match=r"g\(v=0, u=1, c=0, c'=1, b=1\) = (nan|-0.5)"):
+            thresholds(m, 0, 0, 1, [{0, 1}])
 
     def test_empty_set_is_invariant_violation(self, coloring5):
         with pytest.raises(SimulationInvariantError):
@@ -103,9 +116,10 @@ class TestThresholds:
             make_coloring(graph, 6),
             make_hardcore(graph, 1.3),
             make_ising(graph, 0.45),
+            _soft_model(graph),
         ]
         for _ in range(400):
-            m = models[int(rng.integers(3))]
+            m = models[int(rng.integers(4))]
             v = int(rng.integers(m.n))
             d = m.graph.degree(v)
             c, cn = int(rng.integers(m.q)), int(rng.integers(m.q))
@@ -113,19 +127,17 @@ class TestThresholds:
                 set(int(x) for x in rng.choice(m.q, size=int(rng.integers(1, m.q + 1)), replace=False))
                 for _ in range(d)
             ]
-            fast = thresholds(m, v, c, cn, sets)
-            brute = thresholds_bruteforce(m, v, c, cn, sets)
-            assert fast[0] == pytest.approx(brute[0], abs=1e-12)
-            assert fast[1] == pytest.approx(brute[1], abs=1e-12)
-            assert fast[0] + fast[1] <= 1.0 + 1e-12
+            lo, hi = thresholds(m, v, c, cn, sets)
+            assert (lo, hi) == filter_range(m, v, c, cn, sets)  # bit for bit, as paranoid demands
+            assert 0.0 <= lo <= hi <= 1.0
 
     def test_singletons_make_thresholds_complementary(self):
         rng = np.random.default_rng(3)
         m = make_ising(cycle_graph(4), 0.6)
         for _ in range(100):
             sets = [{int(rng.integers(2))} for _ in range(2)]
-            pac, pre = thresholds(m, 0, int(rng.integers(2)), int(rng.integers(2)), sets)
-            assert pac + pre == pytest.approx(1.0, abs=1e-12)
+            lo, hi = thresholds(m, 0, int(rng.integers(2)), int(rng.integers(2)), sets)
+            assert lo == hi
 
 
 def _coupling_case(rng):
@@ -246,6 +258,19 @@ class TestRun:
             res = run(m, s, y0, make_scheduler(policy, seed=3))
             assert np.array_equal(res.final, expected)
 
+    def test_nan_edge_factor_raises(self):
+        # a NaN factor fails both < and >, so a min/max scan that skipped it
+        # would let some of these runs end apart from the oracle, with no error
+        def factor(v, u, c, cn, b):
+            return float("nan") if b == 2 else (0.3 if b == cn else (1.7 if b == c else 0.9))
+
+        m = SpinModel(cycle_graph(4), 3, np.full((4, 3), 1.0 / 3), edge_factor_fn=factor)
+        for seed in range(10):
+            s = generate(m, 3.0, seed)
+            for policy in ("synchronous", "uniform"):
+                with pytest.raises(ValueError, match=r"edge factor g\(.*b=2\) = nan"):
+                    run(m, s, [0, 1, 2, 0], make_scheduler(policy, seed=seed))
+
 
 class TestEventLoopInternals:
     def test_decision_during_phase1_is_queued(self):
@@ -299,8 +324,8 @@ class TestEventLoopInternals:
             sim.execute()
 
     def test_forced_resolution_on_full_knowledge(self):
-        # once every neighbor set is a singleton the thresholds are
-        # complementary, so the final pending decision must fire a resolution
+        # once every neighbor set is a singleton min f = max f, so the
+        # final pending decision must fire a resolution
         m = make_ising(cycle_graph(4), 0.8)
         s = generate(m, 4.0, 19)
         res = run(m, s, [0, 1, 0, 1], SynchronousScheduler())
@@ -360,25 +385,31 @@ class TestParanoidCheck:
         right = netsim.filter_range
         monkeypatch.setattr(netsim, "filter_range", lambda *args: tuple(0.5 * x for x in right(*args)))
         run(m, s, y0, SynchronousScheduler())  # the fault itself raises nothing
-        with pytest.raises(SimulationInvariantError, match="filter-only mismatch"):
+        with pytest.raises(SimulationInvariantError, match="resolution mismatch"):
             run(m, s, y0, SynchronousScheduler(), paranoid=True)
 
-    def test_detects_wrong_edge_range(self, monkeypatch):
-        m = make_ising(cycle_graph(6), 0.5)
-        s = generate(m, 3.0, 4)
-        y0 = [0, 1, 0, 1, 0, 1]
+    @pytest.mark.parametrize("graph, beta, seed, fault", [
+        (cycle_graph(6), 0.5, 4, lambda lo, hi: (0.5 * lo, 0.5 * hi)),
+        # the outcome stays a reject, and 1 - max f is 1.0 for every max f
+        # below 1e-16, so only the exact (min f, max f) shows this fault
+        (path_graph(2), 20.0, 2, lambda lo, hi: (lo, 0.0 if hi < 1e-17 else hi)),
+    ], ids=["halved", "tiny-max-zeroed"])
+    def test_detects_wrong_edge_range(self, monkeypatch, graph, beta, seed, fault):
+        m = make_ising(graph, beta)
+        s = generate(m, 3.0, seed)
+        y0 = [k % 2 for k in range(graph.n)]
         run(m, s, y0, SynchronousScheduler(), paranoid=True)
         right = netsim.edge_range
-        monkeypatch.setattr(netsim, "edge_range", lambda *args: tuple(0.5 * x for x in right(*args)))
+        monkeypatch.setattr(netsim, "edge_range", lambda *args: fault(*right(*args)))
         run(m, s, y0, SynchronousScheduler())  # the fault itself raises nothing
-        with pytest.raises(SimulationInvariantError, match="threshold mismatch"):
+        with pytest.raises(SimulationInvariantError, match="resolution mismatch"):
             run(m, s, y0, SynchronousScheduler(), paranoid=True)
 
 
 class TestFilterOnly:
     """Filter-only models resolve by the oracle's own test, beta < f, over every
     completion of the live sets. 1 - (1 - x) != x for x = 0.1 and 0.3, so a
-    bound formed as 1 - P_RE would misplace coins that sit on a filter value."""
+    bound formed as 1 - (1 - max f) would misplace coins that sit on a filter value."""
 
     @staticmethod
     def _two_nodes(filter_fn, coin):
@@ -508,11 +539,11 @@ class TestColoringSpecialization:
                 for _ in range(2)
             ]
             cn = int(rng.integers(4))
-            pac, pre = thresholds(m, 1, 0, cn, sets)
-            assert pac in (0.0, 1.0) and pre in (0.0, 1.0)
+            lo, hi = thresholds(m, 1, 0, cn, sets)
+            assert lo in (0.0, 1.0) and hi in (0.0, 1.0)
             union = set().union(*sets)
-            assert (pac == 1.0) == (cn not in union)
-            assert (pre == 1.0) == any(s == {cn} for s in sets)
+            assert (lo == 1.0) == (cn not in union)
+            assert (hi == 0.0) == any(s == {cn} for s in sets)
 
 
 class TestDeliveryBounds:
