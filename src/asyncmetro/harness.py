@@ -347,16 +347,9 @@ def _map_cells(fn, cells: list, workers: int | None, chunksize: int) -> list:
 def _sweep_cell(args) -> tuple[int, int, float, float, float, int, int, int]:
     cfg, n, seed = args
     result, report, model = run_one(cfg, seed, cfg.scheduler_policies[0], cell=build_cell(cfg, n))
-    return (
-        n,
-        seed,
-        result.stats.makespan,
-        result.stats.phase1_end,
-        report.max_residence,
-        report.max_chain_length,
-        result.stats.message_count,
-        result.stats.total_bits,
-    )
+    st = result.stats
+    return (n, seed, st.makespan, st.phase1_end, report.max_residence, report.max_chain_length,
+            st.message_count, st.total_bits)
 
 
 @dataclass

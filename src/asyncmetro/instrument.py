@@ -145,21 +145,8 @@ def phase2_residence(result: SimulationResult, verify: bool = True) -> Residence
 # ---------------------------------------------------------------------------
 # CSV emission
 
-CSV_FIELDS = (
-    "seed",
-    "scheduler",
-    "n",
-    "max_degree",
-    "model",
-    "param",
-    "T",
-    "makespan",
-    "phase1_end",
-    "max_residence",
-    "max_chain_length",
-    "messages",
-    "bits",
-)
+CSV_FIELDS = ("seed", "scheduler", "n", "max_degree", "model", "param", "T", "makespan", "phase1_end",
+              "max_residence", "max_chain_length", "messages", "bits")
 
 
 def run_csv_row(

@@ -35,14 +35,15 @@ _EXACT_ENUM_LIMIT = 10**6
 
 
 def capped_product(factors: Iterable[float]) -> float:
-    """min(1, prod factors), each running product capped at _PRODUCT_CAP. The
-    filter, the closed-form thresholds and the engine all multiply through it."""
+    """min(1, prod factors), each running product capped at _PRODUCT_CAP; a NaN
+    product stays NaN. The filter, the closed-form thresholds and the engine
+    all multiply through it."""
     p = 1.0
     for x in factors:
         p *= x
         if p > _PRODUCT_CAP:
             p = _PRODUCT_CAP
-    return p if p < 1.0 else 1.0
+    return 1.0 if p >= 1.0 else p
 
 
 class SpinModel:
@@ -125,11 +126,6 @@ class SpinModel:
             raise ValueError(f"filter returned {val!r}, outside [0, 1]")
         return val
 
-    def edge_factor(self, v: int, u: int, c: int, c_new: int, b: int) -> float:
-        if self.edge_factor_fn is None:
-            raise ValueError(f"model kind {self.kind!r} has no edge-factor decomposition")
-        return self.edge_factor_fn(v, u, c, c_new, b)
-
     def __repr__(self) -> str:
         return f"SpinModel(kind={self.kind!r}, q={self.q}, {self.graph!r})"
 
@@ -179,13 +175,8 @@ def make_ising(graph: Graph, beta: float) -> SpinModel:
         )
     proposals = np.full((graph.n, 2), 0.5)
     # factor[c][c_new][b]
-    table = [
-        [
-            [math.exp(beta * (_SPIN[cn] - _SPIN[c]) * _SPIN[b]) for b in (0, 1)]
-            for cn in (0, 1)
-        ]
-        for c in (0, 1)
-    ]
+    table = [[[math.exp(beta * (_SPIN[cn] - _SPIN[c]) * _SPIN[b]) for b in (0, 1)] for cn in (0, 1)]
+             for c in (0, 1)]
 
     def factor(v: int, u: int, c: int, c_new: int, b: int) -> float:
         return table[c][c_new][b]

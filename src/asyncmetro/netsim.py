@@ -119,12 +119,6 @@ def phase1_init_bits(n: int, q: int) -> int:
     return _ilog2(n) + _ilog2(q)
 
 
-def phase1_info_bits(n: int, T: float, q: int, m_u: int) -> tuple[int, int]:
-    """(total bits, largest fragment) of a PhaseOneInfo message carrying m_u updates."""
-    init, upd = phase1_init_bits(n, q), phase1_update_bits(n, T, q)
-    return init + m_u * upd, (upd if m_u else init)
-
-
 # ---------------------------------------------------------------------------
 # possible-state sets and resolution thresholds
 
@@ -217,17 +211,15 @@ def filter_range(
     model: SpinModel, v: int, c: int, c_new: int, neighbor_states: Sequence[Iterable[int]]
 ) -> tuple[float, float]:
     """(min f, max f) of the filter over the product of state sets, by
-    enumeration; the reference for every closed-form and engine threshold."""
+    enumeration; the reference for every closed-form and engine threshold.
+    Raises ValueError on a filter value outside [0, 1], NaN included."""
     sets = _check_state_sets(model, v, neighbor_states)
     filt = model._filter_raw
-    lo, hi = 1.0, 0.0
-    for tau in itertools.product(*sets):
-        f = filt(v, c, c_new, tau)
-        if f < lo:
-            lo = f
-        if f > hi:
-            hi = f
-    return lo, hi
+    values = [filt(v, c, c_new, tau) for tau in itertools.product(*sets)]
+    for f in values:
+        if not 0.0 <= f <= 1.0:
+            raise ValueError(f"filter f(v={v}, c={c}, c'={c_new}) = {f!r} over sets {sets}, outside [0, 1]")
+    return min(values), max(values)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +274,13 @@ class RunStats:
 
 @dataclass
 class SimulationResult:
+    """With collect_trace, trace holds one tuple (vtime, kind, src, dst, *fields)
+    per event, in time order; src is -1 where no message is delivered. By kind:
+    "enter"/"term" (node dst enters Phase II / terminates): no fields; "info"
+    (src's PhaseOneInfo lands at dst): frags, bits, maxfrag; "dec" (src's decision
+    on its update j lands at dst): accepted, j; "resolve" (dst resolves its update
+    i): i, accepted, trigger (None if self-triggered, else the trigger's UpdateId)."""
+
     final: np.ndarray
     stats: RunStats
     resolutions: list[Resolution]
@@ -370,6 +369,7 @@ class Simulation:
         self.heap: list[tuple] = []
         self.resolutions: list[Resolution] = []
         self.trace: list[tuple] | None = [] if collect_trace else None
+        self.info: list[tuple[int, int, int]] = []
         self.phase1_messages = self.phase1_fragments = self.decision_messages = 0
         self.total_bits = self.max_message_bits = 0
         self._executed = False
@@ -377,10 +377,13 @@ class Simulation:
     # -- channel plumbing ---------------------------------------------------
 
     def _schedule_phase1(self) -> None:
-        n, T, q = self.model.n, self.schedule.T, self.model.q
+        n, q = self.model.n, self.model.q
+        init, upd = phase1_init_bits(n, q), phase1_update_bits(n, self.schedule.T, q)
         for node in self.nodes:
+            # a PhaseOneInfo message carries the initial value and one fragment per update
             u, m_u = node.vid, node.m
-            bits, maxfrag = phase1_info_bits(n, T, q, m_u)
+            bits, maxfrag = init + m_u * upd, (upd if m_u else init)
+            self.info.append((m_u + 1, bits, maxfrag))  # the fields of u's traced info events
             for k, v in enumerate(node.nbrs):
                 # info fragments are serialized on the channel: the logical
                 # PhaseOneInfo message lands when the last fragment does
@@ -398,15 +401,12 @@ class Simulation:
                 self.max_message_bits = max(self.max_message_bits, maxfrag)
         heapify(self.heap)
 
-    def _record(self, vtime: float, kind: str, src: int, dst: int, payload: str) -> None:
-        if self.trace is not None:
-            self.trace.append((vtime, kind, src, dst, payload))
-
     # -- protocol handlers (Phase II) ---------------------------------------
 
     def enter_phase2(self, node: _Node, vtime: float) -> None:
         node.entry = vtime
-        self._record(vtime, "enter", -1, node.vid, "")
+        if self.trace is not None:
+            self.trace.append((vtime, "enter", -1, node.vid))
         self._advance(node, vtime)
         if not node.done:
             self._cascade(node, vtime, None)
@@ -443,7 +443,8 @@ class Simulation:
         if node.i == node.m:
             node.done = True
             node.term = vtime
-            self._record(vtime, "term", -1, node.vid, "")
+            if self.trace is not None:
+                self.trace.append((vtime, "term", -1, node.vid))
             return
         node.i += 1
         node.c_new, node.beta = node.proposals[node.i - 1], node.coins[node.i - 1]
@@ -518,8 +519,7 @@ class Simulation:
         tid = UpdateId(*trigger) if trigger is not None else None
         self.resolutions.append(Resolution(node.vid, i, accepted, vtime, tid))
         if self.trace is not None:
-            tpay = "self" if tid is None else f"{tid.node}:{tid.index}"
-            self._record(vtime, "resolve", -1, node.vid, f"i={i} accept={int(accepted)} trigger={tpay}")
+            self.trace.append((vtime, "resolve", -1, node.vid, i, accepted, tid))
         # the decision on update i is the i-th on each channel, so i is its sequence number
         src, last, dly = node.vid, node.out_last, node.dly
         for k, dst in enumerate(node.nbrs):
@@ -551,16 +551,14 @@ class Simulation:
         for node in self.nodes:
             if not node.nbrs:
                 self.enter_phase2(node, 0.0)
-        heap, nodes, trace = self.heap, self.nodes, self.trace
+        heap, nodes, trace, info = self.heap, self.nodes, self.trace, self.info
         apply_decision = self._apply_decision
         while heap:
             vtime, src, dst, seq, accepted, k = heappop(heap)
             node = nodes[dst]
             if seq == 0:
                 if trace is not None:
-                    m_u = nodes[src].m
-                    bits, maxfrag = phase1_info_bits(self.model.n, self.schedule.T, self.model.q, m_u)
-                    self._record(vtime, "info", src, dst, f"frags={m_u + 1} bits={bits} maxfrag={maxfrag}")
+                    trace.append((vtime, "info", src, dst) + info[src])
                 node.info_pending -= 1
                 if node.info_pending == 0:
                     self.enter_phase2(node, vtime)
@@ -568,7 +566,7 @@ class Simulation:
             # a decision: traced, then queued while dst is in Phase I, its info still
             # pending (processed in arrival order once it enters Phase II), or applied
             if trace is not None:
-                trace.append((vtime, "dec", src, dst, f"accept={int(accepted)} j={seq}"))
+                trace.append((vtime, "dec", src, dst, accepted, seq))
             if node.info_pending:
                 node.pending.append((k, accepted, seq))
             else:
@@ -622,57 +620,73 @@ def run(
 # ---------------------------------------------------------------------------
 # event-trace export and replay
 
+# the line of a SimulationResult.trace record after its vtime: " kind src dst", then
+# the kind's fields as key=value (a bool as 0/1, a trigger as self or node:index)
+_TRACE_FORMATS = {"enter": " enter %d %d\n", "term": " term %d %d\n", "dec": " dec %d %d accept=%d j=%d\n",
+                  "info": " info %d %d frags=%d bits=%d maxfrag=%d\n",
+                  "resolve": " resolve %d %d i=%d accept=%d trigger=%s\n"}
+
+
 def write_trace(trace: list[tuple], fh: IO[str]) -> None:
-    """One line per event: "vtime kind src dst payload"."""
-    for vtime, kind, src, dst, payload in trace:
-        fh.write(f"{vtime!r} {kind} {src} {dst} {payload}\n".rstrip() + "\n")
+    """Render SimulationResult.trace, one line per event, and write it at once."""
+    lines, last, vtext = [], None, ""
+    for rec in trace:
+        vtime, kind = rec[0], rec[1]
+        if vtime != last:  # repr, the costliest step, once per run of equal vtimes
+            last, vtext = vtime, repr(vtime)
+        if kind == "resolve":
+            tid = rec[6]
+            rec = rec[:6] + ("self" if tid is None else f"{tid.node}:{tid.index}",)
+        lines += (vtext, _TRACE_FORMATS[kind] % rec[2:])
+    fh.write("".join(lines))
 
 
-# each event kind's payload keys, in the order the engine renders them, and the
-# pattern of each key's value
-_TRACE_KEYS = {"enter": (), "term": (), "info": ("frags", "bits", "maxfrag"),
-               "dec": ("accept", "j"), "resolve": ("i", "accept", "trigger")}
-_TRACE_VALUES = {"accept": "[01]", "trigger": "self|[0-9]+:[0-9]+"}
-_TRACE_PAYLOAD = {kind: re.compile(" ".join(f"{k}=({_TRACE_VALUES.get(k, '[0-9]+')})" for k in keys))
-                  for kind, keys in _TRACE_KEYS.items()}
+# each kind's line after "vtime kind", for error messages, and the one pattern
+# of a whole line, whose outermost named group that matched (lastgroup) is the kind
+_TRACE_LAYOUTS = {"enter": "-1 NODE", "term": "-1 NODE", "info": "SRC DST frags=N bits=N maxfrag=N",
+                  "dec": "SRC DST accept=0|1 j=N", "resolve": "-1 NODE i=N accept=0|1 trigger=self|NODE:N"}
+_TRACE_LINE = re.compile(
+    r"([0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?) (?:"  # a finite vtime >= 0, as repr renders it
+    r"(?P<dec>dec [0-9]+ [0-9]+ accept=[01] j=[0-9]+)"
+    r"|(?P<info>info [0-9]+ [0-9]+ frags=(?P<frags>[0-9]+) bits=(?P<bits>[0-9]+) maxfrag=(?P<maxfrag>[0-9]+))"
+    r"|(?P<resolve>resolve -1 (?P<node>[0-9]+) i=(?P<i>[0-9]+) accept=(?P<accept>[01]) "
+    r"trigger=(?:self|(?P<tnode>[0-9]+):(?P<tindex>[0-9]+)))"
+    r"|(?P<phase2>(?P<edge>enter|term) -1 (?P<v>[0-9]+)))\s*"
+)
 
 
 def replay_trace(fh: IO[str]) -> tuple[RunStats, list[Resolution]]:
-    """Rebuild RunStats and resolution records from an exported event trace."""
+    """Rebuild RunStats and resolution records from an exported event trace.
+    Each line must match its kind's layout exactly, one space between fields;
+    blank lines are skipped, and "dec" lines are only checked and counted."""
     entry: dict[int, float] = {}
     term: dict[int, float] = {}
     resolutions: list[Resolution] = []
-    phase1_messages = phase1_fragments = decision_messages = total_bits = max_bits = 0
+    phase1_messages = phase1_fragments = decisions = info_bits = max_bits = 0
+    match = _TRACE_LINE.fullmatch
     for lineno, line in enumerate(fh, start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        try:
-            vtime, kind, src, dst = float(parts[0]), parts[1], int(parts[2]), int(parts[3])
-            if kind not in _TRACE_PAYLOAD:
-                raise ValueError(f"unknown trace event kind {kind!r}")
-            payload = _TRACE_PAYLOAD[kind].fullmatch(" ".join(parts[4:]))
-            if payload is None:
-                raise ValueError(f"{kind} payload must match {_TRACE_PAYLOAD[kind].pattern!r}")
-            if kind == "enter":
-                entry[dst] = vtime
-            elif kind == "term":
-                term[dst] = vtime
-            elif kind == "info":
-                phase1_messages += 1
-                phase1_fragments += int(payload[1])
-                total_bits += int(payload[2])
-                max_bits = max(max_bits, int(payload[3]))
-            elif kind == "dec":
-                decision_messages += 1
-                total_bits += DECISION_BITS
-                max_bits = max(max_bits, DECISION_BITS)
-            else:
-                trig = payload[3]
-                tid = None if trig == "self" else UpdateId(*(int(x) for x in trig.split(":")))
-                resolutions.append(Resolution(dst, int(payload[1]), payload[2] == "1", vtime, tid))
-        except (IndexError, TypeError, ValueError) as exc:
-            raise ValueError(f"trace line {lineno}: {exc!r} in {line.strip()!r}") from None
+        m = match(line)
+        if m is None:
+            if line.isspace():
+                continue
+            kind = (line.split() + [None, None])[1]
+            if kind not in _TRACE_LAYOUTS:
+                raise ValueError(f"trace line {lineno}: unknown trace event kind {kind!r} in {line.strip()!r}")
+            raise ValueError(f"trace line {lineno}: {kind} lines read 'VTIME {kind} {_TRACE_LAYOUTS[kind]}', "
+                             f"one space apart, not {line.strip()!r}")
+        kind = m.lastgroup
+        if kind == "dec":
+            decisions += 1
+        elif kind == "info":
+            phase1_messages += 1
+            phase1_fragments += int(m["frags"])
+            info_bits += int(m["bits"])
+            max_bits = max(max_bits, int(m["maxfrag"]))
+        elif kind == "resolve":
+            tid = None if m["tnode"] is None else UpdateId(int(m["tnode"]), int(m["tindex"]))
+            resolutions.append(Resolution(int(m["node"]), int(m["i"]), m["accept"] == "1", float(m[1]), tid))
+        else:
+            (entry if m["edge"] == "enter" else term)[int(m["v"])] = float(m[1])
     nodes = sorted(entry)
     if nodes != sorted(term):
         raise ValueError("trace has mismatched enter/term events")
@@ -681,8 +695,8 @@ def replay_trace(fh: IO[str]) -> tuple[RunStats, list[Resolution]]:
         [term[v] for v in nodes],
         phase1_messages=phase1_messages,
         phase1_fragments=phase1_fragments,
-        decision_messages=decision_messages,
-        total_bits=total_bits,
-        max_message_bits=max_bits,
+        decision_messages=decisions,
+        total_bits=info_bits + decisions * DECISION_BITS,
+        max_message_bits=max(max_bits, DECISION_BITS) if decisions else max_bits,
     )
     return stats, resolutions

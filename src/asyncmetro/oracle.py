@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Callable, Sequence
 
 import numpy as np
@@ -26,7 +27,16 @@ class TrajectoryStep:
 @dataclass
 class ContinuousRun:
     final: np.ndarray
-    trajectory: list[TrajectoryStep]
+    schedule: UpdateSchedule = field(repr=False)
+    states: list[int] = field(repr=False)  # each update's new state, in schedule.order
+
+    @cached_property
+    def trajectory(self) -> list[TrajectoryStep]:
+        """One step per update in the (time, node, index) order, built on first read."""
+        sch = self.schedule
+        times = [t for ts in sch.times for t in ts.tolist()]
+        steps = zip(sch.order.tolist(), self.states)
+        return [TrajectoryStep(*sch.update_at(pos), times[pos], s) for pos, s in steps]
 
 
 def configuration_at(
@@ -53,20 +63,25 @@ def run_continuous(model: SpinModel, schedule: UpdateSchedule, y0: Sequence[int]
     Updates are processed in the (time, node, index) order; the update (v, i)
     with current state c and proposal c' is accepted iff the coin satisfies
     beta < f(v, c, c', neighborhood) evaluated at the pre-update neighborhood.
+    Raises ValueError on a filter value outside [0, 1], NaN included.
     """
     schedule.check_model(model)
     cur = model.check_configuration(y0)
     adj = model.graph.adj
     filt = model._filter_raw
-    updates = [(v, i, t) for v, ts in enumerate(schedule.times) for i, t in enumerate(ts.tolist(), start=1)]
+    nodes = [v for v, m in enumerate(schedule.counts) for _ in range(m)]
     proposals, coins = ([x for a in arrays for x in a.tolist()] for arrays in (schedule.proposals, schedule.coins))
-    trajectory = []
+    states = []
     for pos in schedule.order.tolist():
-        (v, i, t), c_new = updates[pos], proposals[pos]
-        if coins[pos] < filt(v, cur[v], c_new, [cur[u] for u in adj[v]]):
+        v, c_new = nodes[pos], proposals[pos]
+        f = filt(v, cur[v], c_new, [cur[u] for u in adj[v]])
+        if not 0.0 <= f <= 1.0:
+            raise ValueError(
+                f"{schedule.update_at(pos)}: filter f(v={v}, c={cur[v]}, c'={c_new}) = {f!r}, outside [0, 1]")
+        if coins[pos] < f:
             cur[v] = c_new
-        trajectory.append(TrajectoryStep(v, i, t, cur[v]))
-    return ContinuousRun(np.asarray(cur, dtype=np.int64), trajectory)
+        states.append(cur[v])
+    return ContinuousRun(np.asarray(cur, dtype=np.int64), schedule, states)
 
 
 def run_discrete(

@@ -182,7 +182,7 @@ class TestEdgeFactorContract:
             tau = tuple(int(x) for x in rng.integers(0, m.q, m.graph.degree(v)))
             explicit = 1.0
             for u, b in zip(m.graph.adj[v], tau):
-                explicit *= m.edge_factor(v, u, c, cn, b)
+                explicit *= m.edge_factor_fn(v, u, c, cn, b)
             explicit = min(1.0, explicit)
             f = m.filter_value(v, c, cn, tau)
             assert abs(f - explicit) <= 1e-12

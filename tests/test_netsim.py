@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from asyncmetro import (
     run_continuous,
     thresholds,
 )
+from asyncmetro.models import capped_product
 from asyncmetro.netsim import phase1_init_bits, phase1_update_bits, replay_trace, write_trace
 from tests.test_schedule import make_manual
 
@@ -270,6 +272,36 @@ class TestRun:
             for policy in ("synchronous", "uniform"):
                 with pytest.raises(ValueError, match=r"edge factor g\(.*b=2\) = nan"):
                     run(m, s, [0, 1, 2, 0], make_scheduler(policy, seed=seed))
+            # the filter is the capped product, which keeps NaN, so the oracle
+            # refuses it too instead of reading it as 1.0
+            with pytest.raises(ValueError, match=r"filter f\(.*\) = nan, outside \[0, 1\]"):
+                run_continuous(m, s, [0, 1, 2, 0])
+        with pytest.raises(ValueError, match="filter returned nan"):
+            m.filter_value(1, 0, 1, (0, 2))
+        assert math.isnan(capped_product([0.5, float("nan")]))
+        assert m.filter_value(1, 0, 1, (0, 1)) == 1.7 * 0.3  # b = c, then b = c'
+
+    @pytest.mark.parametrize("value", [1.5, float("nan")], ids=["above-one", "nan"])
+    def test_filter_value_outside_unit_interval_raises(self, value):
+        # a filter-only model whose f is out of range everywhere: enumeration,
+        # the oracle and a paranoid run all refuse it
+        m = SpinModel(cycle_graph(4), 3, np.full((4, 3), 1.0 / 3), filter_fn=lambda v, c, cn, tau: value)
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            thresholds(m, 0, 0, 1, [{0, 1}, {2}])
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            filter_range(m, 0, 0, 1, [{1}, {2}])
+        s = generate(m, 3.0, 1)
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            run_continuous(m, s, [0, 1, 2, 0])
+        for policy in ("synchronous", "uniform"):
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                run(m, s, [0, 1, 2, 0], make_scheduler(policy, seed=1), paranoid=True)
+
+    def test_filter_range_starts_from_the_first_completion(self):
+        # a constant in-range filter gives (f, f) whatever the value
+        for value in (0.0, 0.3, 1.0):
+            m = SpinModel(cycle_graph(4), 3, np.full((4, 3), 1.0 / 3), filter_fn=lambda v, c, cn, tau: value)
+            assert thresholds(m, 0, 0, 1, [{0, 1}, {1, 2}]) == (value, value)
 
 
 class TestEventLoopInternals:
@@ -558,12 +590,11 @@ class TestDeliveryBounds:
             # a decision leaves when its update resolves and arrives as the
             # receiver's "dec" event carrying the same update ordinal j
             sent, deliveries = {}, 0
-            for vtime, kind, src, dst, payload in res.trace:
-                fields = dict(p.split("=") for p in payload.split())
+            for vtime, kind, src, dst, *fields in res.trace:
                 if kind == "resolve":
-                    sent[dst, fields["i"]] = vtime
+                    sent[dst, fields[0]] = vtime
                 elif kind == "dec":
-                    send = sent[src, fields["j"]]
+                    send = sent[src, fields[1]]
                     deliveries += 1
                     if vtime - send > 1.0 + 1e-12:
                         assert vtime <= res.stats.entry_times[dst] + 1e-12
@@ -585,6 +616,83 @@ class TestTraceReplay:
     def test_replay_rejects_garbage(self):
         with pytest.raises(ValueError, match="unknown trace event kind"):
             replay_trace(io.StringIO("0.5 bogus 0 1\n"))
+
+    FIELDS = {"enter": 0, "term": 0, "info": 3, "dec": 2, "resolve": 3}
+
+    def test_round_trip_on_random_cases(self):
+        # replay of the written text equals the live run, over isolated nodes,
+        # n = 0, exact-tie grids, unit delays (vtimes like 3.0) and delays of
+        # 1e-05, whose vtimes repr with an exponent (2e-05)
+        grid = np.array([0.25, 0.5, 0.75, 1.0, 1.5])
+        rng = np.random.default_rng(10)
+        exponents = 0
+        for k in range(60):
+            n = int(rng.integers(0, 8))
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+            m = (make_coloring(g, 3), make_hardcore(g, 1.1), make_ising(g, 0.6),
+                 SpinModel(g, 3, np.full((n, 3), 1.0 / 3), filter_fn=_soft_filter))[k % 4]
+            if k % 2:
+                times = [grid[rng.random(len(grid)) < 0.6] for _ in range(n)]
+                s = make_manual(2.0, times, q=m.q, proposals=[rng.integers(0, m.q, len(t)) for t in times],
+                                coins=[rng.random(len(t)) for t in times])
+            else:
+                s = generate(m, 3.0, k)
+            y0 = [0] * n
+            for scheduler in (make_scheduler("uniform", seed=k), SynchronousScheduler(), FixedDelayScheduler(1e-05)):
+                res = run(m, s, y0, scheduler, collect_trace=True)
+                for rec in res.trace:
+                    assert len(rec) == 4 + self.FIELDS[rec[1]], rec
+                assert all(a[0] <= b[0] for a, b in zip(res.trace, res.trace[1:]))  # time order
+                buf = io.StringIO()
+                write_trace(res.trace, buf)
+                text = buf.getvalue()
+                assert text.count("\n") == len(res.trace)
+                exponents += "e-05 " in text
+                buf.seek(0)
+                stats, resolutions = replay_trace(buf)
+                assert stats.same_as(res.stats), (k, scheduler)
+                assert resolutions == res.resolutions, (k, scheduler)
+        assert exponents > 0
+
+    def test_typed_records(self):
+        # path 0-1 with all delays 1: node 1 has no updates, so its one-fragment
+        # info lands at 1.0 and node 0 resolves its one update (accept) there;
+        # node 0's two-fragment info lands at 2.0, and its decision right behind it
+        m = make_coloring(path_graph(2), 3)
+        s = make_manual(1.0, [[0.5], []], proposals=[[2], []], coins=[[0.1], []], q=3)
+        res = run(m, s, [0, 1], SynchronousScheduler(), collect_trace=True)
+        init, upd = phase1_init_bits(2, 3), phase1_update_bits(2, 1.0, 3)
+        assert res.trace == [
+            (1.0, "info", 1, 0, 1, init, init), (1.0, "enter", -1, 0),
+            (1.0, "resolve", -1, 0, 1, True, None), (1.0, "term", -1, 0),
+            (2.0, "info", 0, 1, 2, init + upd, upd), (2.0, "enter", -1, 1), (2.0, "term", -1, 1),
+            (2.0, "dec", 0, 1, True, 1),
+        ]
+        buf = io.StringIO()
+        write_trace(res.trace, buf)
+        assert buf.getvalue().splitlines()[2:4] == ["1.0 resolve -1 0 i=1 accept=1 trigger=self", "1.0 term -1 0"]
+
+    @pytest.mark.parametrize("bad", [
+        "0.5  dec 1 0 accept=1 j=1",
+        "0.5 dec 1 0 accept=1\tj=1",
+        " 0.5 dec 1 0 accept=1 j=1",
+        "nan dec 1 0 accept=1 j=1",
+        "-0.5 dec 1 0 accept=1 j=1",
+        ".5 dec 1 0 accept=1 j=1",
+        "1E-05 dec 1 0 accept=1 j=1",
+        "0.5 enter 0 1",
+        "0.5 resolve 3 0 i=1 accept=1 trigger=self",
+        "0.5 dec -2 0 accept=1 j=1",
+        "0.5 dec 1 +0 accept=1 j=1",
+    ], ids=["two-spaces", "tab", "leading-space", "vtime-nan", "vtime-negative", "vtime-not-repr",
+            "vtime-capital-e", "enter-src-not-minus-1", "resolve-src-not-minus-1", "dec-src-negative",
+            "dec-dst-signed"])
+    def test_lines_the_fixed_columns_reject(self, bad):
+        # each line breaks one rule that a whitespace split with float()/int()
+        # let through: single spaces between fields, a vtime as repr writes a
+        # finite float >= 0, src -1 on enter/term/resolve, unsigned node ids
+        with pytest.raises(ValueError, match="trace line 2: .* lines read"):
+            replay_trace(io.StringIO(f"0.0 enter -1 0\n{bad}\n0.0 term -1 0\n"))
 
 
 class TestSchedulers:

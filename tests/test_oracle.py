@@ -19,6 +19,7 @@ from asyncmetro import (
     path_graph,
     run_continuous,
     run_discrete,
+    total_order,
     total_variation,
 )
 from asyncmetro import oracle as oracle_mod
@@ -89,6 +90,19 @@ class TestRunContinuous:
         for step in out.trajectory:
             cur[step.node] = step.new_state
             assert all(cur[u] != cur[v] for u, v in g.edges())
+
+    def test_trajectory_built_on_first_read(self):
+        # the run keeps one new state per update; the steps appear when read,
+        # once, in the (time, node, index) order with each update's own time
+        m = make_hardcore(cycle_graph(5), 1.3)
+        s = generate(m, 6.0, 4)
+        out = run_continuous(m, s, [0] * 5)
+        assert "trajectory" not in vars(out) and len(out.states) == s.total_updates
+        steps = out.trajectory
+        assert out.trajectory is steps
+        assert [(st.node, st.index) for st in steps] == [tuple(u) for u in total_order(s)]
+        assert [st.time for st in steps] == [float(s.times[st.node][st.index - 1]) for st in steps]
+        assert [st.new_state for st in steps] == out.states
 
     def test_shape_mismatch_rejected(self):
         m = make_coloring(cycle_graph(4), 3)
