@@ -242,8 +242,7 @@ def run_one(
 
 def cmd_run(cfg: ExperimentConfig, out: IO[str], finals_out: IO[str] | None = None) -> int:
     cell = build_cell(cfg)
-    rows = []
-    finals = []
+    rows, finals = [], []
     for seed in cfg.seeds:
         for policy in cfg.scheduler_policies:
             result, report, model = run_one(cfg, seed, policy, cell=cell)
@@ -259,10 +258,7 @@ def cmd_run(cfg: ExperimentConfig, out: IO[str], finals_out: IO[str] | None = No
 
 def first_mismatch(expected, got) -> tuple[int, int, int] | None:
     """(node, expected state, got state) at the first differing node, or None."""
-    for v in range(len(expected)):
-        if expected[v] != got[v]:
-            return v, int(expected[v]), int(got[v])
-    return None
+    return next(((v, int(a), int(b)) for v, (a, b) in enumerate(zip(expected, got)) if a != b), None)
 
 
 def cmd_verify_coupling(cfg: ExperimentConfig, out: IO[str]) -> int:
@@ -388,10 +384,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> tuple[list[t
     # so medians quantize too coarsely for a meaningful R^2
     means = [per_n[n]["mean_max_residence"] for n in ns]
     a, b, r2, resid = fit_log_n(ns, means)
-    ratios = [
-        means[k + 1] / means[k] if means[k] > 0 else math.inf
-        for k in range(len(ns) - 1)
-    ]
+    ratios = [means[k + 1] / means[k] if means[k] > 0 else math.inf for k in range(len(ns) - 1)]
     return raw, SweepSummary(per_n, a, b, r2, resid, ratios)
 
 

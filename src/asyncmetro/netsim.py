@@ -23,7 +23,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field, fields
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -325,12 +325,14 @@ class _Node:
 class Simulation:
     """One deterministic execution of the protocol for a fixed schedule.
 
-    All nondeterminism lives in the schedule and the scheduler seed; event
-    deliveries are processed in virtual-time order with the
-    (vtime, src, dst, sequence) tie-break. A heap entry is (vtime, src, dst, seq,
-    accepted, slot): seq 0 is the channel's Phase-I info message, seq i the
-    decision on src's update i, slot the position of src in dst's adjacency.
-    The first four fields are unique, so the rest are never compared."""
+    All nondeterminism lives in the schedule and the scheduler seed. Deliveries
+    run in (vtime, src, dst, seq) order, from a heap of the distinct delivery
+    vtimes and, per vtime, a bucket of entries (src, dst, seq, accepted, slot):
+    seq 0 is the channel's Phase-I info message, seq i the decision on src's
+    update i, slot the position of src in dst's adjacency. The first three fields
+    are unique, so the rest are never compared. A bucket is sorted once in
+    descending order and drained by pop(); a send onto the vtime being drained (a
+    delay below half an ulp of it) joins that bucket and re-sorts it."""
 
     def __init__(
         self,
@@ -347,6 +349,7 @@ class Simulation:
         self.schedule = schedule
         self.paranoid = paranoid
         self.factor = model.edge_factor_fn
+        self.skip_points = self.factor is not None and not paranoid
         self.props_l = [p.tolist() for p in schedule.proposals]
         coins_l = [b.tolist() for b in schedule.coins]
         adj, m, at = model.graph.adj, schedule.counts, schedule.starts
@@ -366,7 +369,8 @@ class Simulation:
                   [slot_of[u][v] for u in adj[v]], dly[starts[v] : starts[v + 1]])
             for v in range(model.n)
         ]
-        self.heap: list[tuple] = []
+        self.times: list[float] = []  # heap of the distinct delivery vtimes
+        self.buckets: dict[float, list[tuple]] = {}
         self.resolutions: list[Resolution] = []
         self.trace: list[tuple] | None = [] if collect_trace else None
         self.info: list[tuple[int, int, int]] = []
@@ -394,12 +398,12 @@ class Simulation:
                         raise ValueError(f"scheduler produced delay {d!r} outside (0, 1]")
                     t += d
                 node.out_last[k] = t
-                self.heap.append((t, u, v, 0, False, node.rslot[k]))
+                self.buckets.setdefault(t, []).append((u, v, 0, False, node.rslot[k]))
                 self.phase1_messages += 1
                 self.phase1_fragments += m_u + 1
                 self.total_bits += bits
                 self.max_message_bits = max(self.max_message_bits, maxfrag)
-        heapify(self.heap)
+        self.times = sorted(self.buckets)  # a sorted list is a heap
 
     # -- protocol handlers (Phase II) ---------------------------------------
 
@@ -430,13 +434,25 @@ class Simulation:
         hist.append(props_u[ju - 1] if accepted else hist[ju - 1])
         node.j[k] = ju + 1
         # terminated nodes keep folding decisions into history. So does a node
-        # whose set for u is pinned to the known hist[idx] (idx < ju), or whose
-        # refresh leaves the thresholds as they were: its last test was
-        # undecided and would stay so
-        if node.done or node.win[k][node.i - 1] < ju:
+        # whose set for u is pinned to the known hist[idx] (idx < ju), whose edge
+        # range for u is a point (within one update a live set only shrinks), or
+        # whose refresh leaves what try_resolve reads as it was: its last test was
+        # undecided and would stay so. Outside paranoid, an edge-factor node then
+        # leaves node.S[k] stale: only filter-only and paranoid tests read it
+        if (node.done or (idx := node.win[k][node.i - 1]) < ju
+                or self.skip_points and node.fmin[k] == node.fmax[k]):
             return
-        if self._refresh(node, k):
-            self._cascade(node, vtime, (u, ju))
+        S = _possible_set(props_u, hist, ju + 1, idx)
+        if self.factor is None:
+            if S == node.S[k]:
+                return
+        else:
+            lo, hi = edge_range(self.factor, node.vid, u, node.value, node.c_new, S)
+            if lo == node.fmin[k] and hi == node.fmax[k] and not self.paranoid:
+                return
+            node.fmin[k], node.fmax[k] = lo, hi
+        node.S[k] = S
+        self._cascade(node, vtime, (u, ju))
 
     def _advance(self, node: _Node, vtime: float) -> None:
         """Start the node's next update, or terminate the node after its last."""
@@ -446,28 +462,14 @@ class Simulation:
             if self.trace is not None:
                 self.trace.append((vtime, "term", -1, node.vid))
             return
-        node.i += 1
-        node.c_new, node.beta = node.proposals[node.i - 1], node.coins[node.i - 1]
-        for k in range(len(node.nbrs)):
-            self._refresh(node, k)
-
-    def _refresh(self, node: _Node, k: int) -> bool:
-        """Recompute slot k's possible set and edge range. False when what
-        try_resolve reads of them is unchanged (always True under paranoid)."""
-        u = node.nbrs[k]
-        S = _possible_set(self.props_l[u], node.hist[k], node.j[k], node.win[k][node.i - 1])
-        factor = self.factor
-        if factor is None:
-            changed = S != node.S[k]
-            node.S[k] = S
-            return changed
-        node.S[k] = S
-        lo, hi = edge_range(factor, node.vid, u, node.value, node.c_new, S)
-        if lo == node.fmin[k] and hi == node.fmax[k]:
-            return self.paranoid
-        node.fmin[k] = lo
-        node.fmax[k] = hi
-        return True
+        node.i = i = node.i + 1
+        c_new = node.c_new = node.proposals[i - 1]
+        node.beta = node.coins[i - 1]
+        v, c, factor, props, S = node.vid, node.value, self.factor, self.props_l, node.S
+        for k, (u, hist, ju, win) in enumerate(zip(node.nbrs, node.hist, node.j, node.win)):
+            S[k] = s = _possible_set(props[u], hist, ju, win[i - 1])
+            if factor is not None:
+                node.fmin[k], node.fmax[k] = edge_range(factor, v, u, c, c_new, s)
 
     def try_resolve(self, node: _Node) -> bool | None:
         """Test the two resolution conditions, accept first; None = undecided."""
@@ -481,15 +483,19 @@ class Simulation:
             # sets gives the oracle's test beta < f the same answer, so the walk
             # stops at the first two completions that disagree
             v, c, c_new, filt = node.vid, node.value, node.c_new, self.model.filter_fn
-            completions = itertools.product(*node.S)
-            first = next(completions, None)
-            if first is None:
-                raise SimulationInvariantError(f"empty possible-state set at node {v}, sets {node.S}")
-            res = bool(beta < filt(v, c, c_new, first))
-            for tau in completions:
-                if (beta < filt(v, c, c_new, tau)) != res:
+            res = first = None
+            for tau in itertools.product(*node.S):
+                f = filt(v, c, c_new, tau)
+                if not 0.0 <= f <= 1.0:  # the oracle's check, on each value read
+                    raise ValueError(f"{UpdateId(v, node.i)}: filter f(v={v}, c={c}, c'={c_new}) = {f!r}, "
+                                     f"outside [0, 1]")
+                if first is None:
+                    res = first = bool(beta < f)
+                elif (beta < f) != first:
                     res = None
                     break
+            if first is None:
+                raise SimulationInvariantError(f"empty possible-state set at node {v}, sets {node.S}")
             lo = hi = None  # no closed form
         if self.paranoid:  # outcome and closed form must match enumeration, bit for bit
             flo, fhi = filter_range(self.model, node.vid, node.value, node.c_new, node.S)
@@ -521,7 +527,7 @@ class Simulation:
         if self.trace is not None:
             self.trace.append((vtime, "resolve", -1, node.vid, i, accepted, tid))
         # the decision on update i is the i-th on each channel, so i is its sequence number
-        src, last, dly = node.vid, node.out_last, node.dly
+        src, last, dly, buckets = node.vid, node.out_last, node.dly, self.buckets
         for k, dst in enumerate(node.nbrs):
             d = next(dly[k])
             if not 0.0 < d <= 1.0:
@@ -534,7 +540,12 @@ class Simulation:
                 # unit, and the receiver's pending queue then absorbs the delay.
                 deliver = last[k]
             last[k] = deliver
-            heappush(self.heap, (deliver, src, dst, i, accepted, node.rslot[k]))
+            bucket = buckets.setdefault(deliver, [])
+            bucket.append((src, dst, i, accepted, node.rslot[k]))
+            if deliver == vtime:  # the bucket being drained: its least entry goes last
+                bucket.sort(reverse=True)
+            elif len(bucket) == 1:
+                heappush(self.times, deliver)
         if node.nbrs:
             self.decision_messages += len(node.nbrs)
             self.total_bits += len(node.nbrs) * DECISION_BITS
@@ -551,26 +562,31 @@ class Simulation:
         for node in self.nodes:
             if not node.nbrs:
                 self.enter_phase2(node, 0.0)
-        heap, nodes, trace, info = self.heap, self.nodes, self.trace, self.info
+        times, buckets, nodes, trace, info = self.times, self.buckets, self.nodes, self.trace, self.info
         apply_decision = self._apply_decision
-        while heap:
-            vtime, src, dst, seq, accepted, k = heappop(heap)
-            node = nodes[dst]
-            if seq == 0:
+        while times:
+            vtime = heappop(times)
+            bucket = buckets[vtime]
+            bucket.sort(reverse=True)
+            while bucket:
+                src, dst, seq, accepted, k = bucket.pop()
+                node = nodes[dst]
+                if seq == 0:
+                    if trace is not None:
+                        trace.append((vtime, "info", src, dst) + info[src])
+                    node.info_pending -= 1
+                    if node.info_pending == 0:
+                        self.enter_phase2(node, vtime)
+                    continue
+                # a decision: traced, then queued while dst is in Phase I, its info still
+                # pending (processed in arrival order once it enters Phase II), or applied
                 if trace is not None:
-                    trace.append((vtime, "info", src, dst) + info[src])
-                node.info_pending -= 1
-                if node.info_pending == 0:
-                    self.enter_phase2(node, vtime)
-                continue
-            # a decision: traced, then queued while dst is in Phase I, its info still
-            # pending (processed in arrival order once it enters Phase II), or applied
-            if trace is not None:
-                trace.append((vtime, "dec", src, dst, accepted, seq))
-            if node.info_pending:
-                node.pending.append((k, accepted, seq))
-            else:
-                apply_decision(node, k, accepted, seq, vtime)
+                    trace.append((vtime, "dec", src, dst, accepted, seq))
+                if node.info_pending:
+                    node.pending.append((k, accepted, seq))
+                else:
+                    apply_decision(node, k, accepted, seq, vtime)
+            del buckets[vtime]
         stuck = [nd for nd in self.nodes if not nd.done]
         if stuck:
             raise SimulationInvariantError(self._deadlock_dump(stuck))
@@ -582,10 +598,12 @@ class Simulation:
             if node.info_pending:
                 lines.append(f"  node {node.vid}: still in Phase I ({node.info_pending} info pending)")
                 continue
+            # node.S may be stale (see _apply_decision), so derive each live set
+            sets = {u: sorted(_possible_set(self.props_l[u], hist, ju, win[node.i - 1]))
+                    for u, hist, ju, win in zip(node.nbrs, node.hist, node.j, node.win)}
             lines.append(
                 f"  node {node.vid}: update {node.i}/{node.m}, beta={node.beta!r}, "
-                f"proposal={node.c_new}, j={dict(zip(node.nbrs, node.j))}, "
-                f"possible states {dict(zip(node.nbrs, node.S))}"
+                f"proposal={node.c_new}, j={dict(zip(node.nbrs, node.j))}, possible states {sets}"
             )
         return "\n".join(lines)
 
@@ -658,7 +676,8 @@ _TRACE_LINE = re.compile(
 def replay_trace(fh: IO[str]) -> tuple[RunStats, list[Resolution]]:
     """Rebuild RunStats and resolution records from an exported event trace.
     Each line must match its kind's layout exactly, one space between fields;
-    blank lines are skipped, and "dec" lines are only checked and counted."""
+    blank lines are skipped, and "dec" lines are only checked and counted. Each
+    node has one enter, then its resolves, then one term."""
     entry: dict[int, float] = {}
     term: dict[int, float] = {}
     resolutions: list[Resolution] = []
@@ -682,14 +701,19 @@ def replay_trace(fh: IO[str]) -> tuple[RunStats, list[Resolution]]:
             phase1_fragments += int(m["frags"])
             info_bits += int(m["bits"])
             max_bits = max(max_bits, int(m["maxfrag"]))
-        elif kind == "resolve":
-            tid = None if m["tnode"] is None else UpdateId(int(m["tnode"]), int(m["tindex"]))
-            resolutions.append(Resolution(int(m["node"]), int(m["i"]), m["accept"] == "1", float(m[1]), tid))
         else:
-            (entry if m["edge"] == "enter" else term)[int(m["v"])] = float(m[1])
+            event, v = (m["edge"], int(m["v"])) if kind == "phase2" else (kind, int(m["node"]))
+            if (v in entry) if event == "enter" else (v not in entry or v in term):
+                raise ValueError(f"trace line {lineno}: {event} of node {v} out of place; a node has "
+                                 "one enter, then its resolves, then one term")
+            if event == "resolve":
+                tid = None if m["tnode"] is None else UpdateId(int(m["tnode"]), int(m["tindex"]))
+                resolutions.append(Resolution(v, int(m["i"]), m["accept"] == "1", float(m[1]), tid))
+            else:
+                (entry if event == "enter" else term)[v] = float(m[1])
     nodes = sorted(entry)
-    if nodes != sorted(term):
-        raise ValueError("trace has mismatched enter/term events")
+    if len(nodes) != len(term):
+        raise ValueError("trace has a node that entered Phase II and never terminated")
     stats = RunStats.derive(
         [entry[v] for v in nodes],
         [term[v] for v in nodes],

@@ -92,7 +92,8 @@ def run_discrete(
     observer: Callable[[int, list[int]], None] | None = None,
 ) -> np.ndarray:
     """Discrete single-site Metropolis chain: uniform node, proposal from nu_v,
-    accept iff a fresh uniform coin is below the filter."""
+    accept iff a fresh uniform coin is below the filter. Raises ValueError on a
+    filter value outside [0, 1], NaN included."""
     if n_steps < 0:
         raise ValueError(f"step count must be >= 0, got {n_steps}")
     cur = model.check_configuration(x0)
@@ -103,8 +104,10 @@ def run_discrete(
     for step in range(n_steps):
         v = int(rng.integers(model.n))
         c_new = int(draw_proposals(cdfs[v], rng.random(), model.q))
-        tau = [cur[u] for u in adj[v]]
-        if rng.random() < filt(v, cur[v], c_new, tau):
+        f = filt(v, cur[v], c_new, [cur[u] for u in adj[v]])
+        if not 0.0 <= f <= 1.0:
+            raise ValueError(f"step {step + 1}: filter f(v={v}, c={cur[v]}, c'={c_new}) = {f!r}, outside [0, 1]")
+        if rng.random() < f:
             cur[v] = c_new
         if observer is not None:
             observer(step + 1, cur)

@@ -467,6 +467,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "trace line 2" in err and "Traceback" not in err
 
+    def test_trace_with_events_out_of_place_exits_2(self, tmp_path, capsys):
+        # a second enter for node 0, a term before node 1's enter, a resolve for
+        # node 3, which never entered: each line alone replays, the traces do not
+        for k, bad in enumerate(["0.5 enter -1 0", "0.5 term -1 1", "0.5 resolve -1 3 i=1 accept=1 trigger=self"]):
+            trace = tmp_path / f"trace{k}.txt"
+            trace.write_text(f"0.0 enter -1 0\n{bad}\n0.6 term -1 0\n")
+            assert cli.main(["replay-trace", str(trace)]) == 2
+            err = capsys.readouterr().err
+            assert "trace line 2" in err and "out of place" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["abc", "0", "-1"])
     @pytest.mark.parametrize("command", ["sweep", "tv-test"])
     def test_bad_worker_count_exits_2(self, tmp_path, capsys, monkeypatch, command, value):

@@ -1,5 +1,6 @@
 """Protocol simulation: possible states, thresholds, coupling, accounting."""
 
+import hashlib
 import io
 import itertools
 import math
@@ -20,6 +21,7 @@ from asyncmetro import (
     empty_graph,
     filter_range,
     generate,
+    greedy_coloring,
     make_coloring,
     make_hardcore,
     make_ising,
@@ -27,6 +29,7 @@ from asyncmetro import (
     path_graph,
     phase2_residence,
     possible_states,
+    random_regular_graph,
     run,
     run_continuous,
     thresholds,
@@ -348,12 +351,25 @@ class TestEventLoopInternals:
             sim._apply_decision(sim.nodes[0], 0, True, 2, 9.0)
 
     def test_deadlock_diagnostic(self, monkeypatch):
+        resolve = Simulation.try_resolve
         m = make_coloring(cycle_graph(3), 5)
         s = generate(m, 3.0, 8)
         monkeypatch.setattr(Simulation, "try_resolve", lambda self, node: None)
         sim = Simulation(m, s, [0, 1, 2], SynchronousScheduler())
         with pytest.raises(SimulationInvariantError, match="unresolved"):
             sim.execute()
+        # only node 0 never resolves; decisions on point edge ranges skip its
+        # refresh and leave node.S stale, yet the dump shows the live sets
+        monkeypatch.setattr(Simulation, "try_resolve", lambda self, node: None if node.vid == 0 else resolve(self, node))
+        m = make_coloring(cycle_graph(4), 3)
+        s = generate(m, 3.0, 5)
+        sim = Simulation(m, s, [0, 1, 2, 1], SynchronousScheduler())
+        with pytest.raises(SimulationInvariantError, match="unresolved") as err:
+            sim.execute()
+        node = sim.nodes[0]
+        live = {u: sorted(possible_states(s, u, 0, node.i, j, h)) for u, j, h in zip(node.nbrs, node.j, node.hist)}
+        assert any(set(S) != set(live[u]) for u, S in zip(node.nbrs, node.S))
+        assert str(err.value).splitlines()[1].endswith(f"possible states {live}")
 
     def test_forced_resolution_on_full_knowledge(self):
         # once every neighbor set is a singleton min f = max f, so the
@@ -470,6 +486,37 @@ class TestFilterOnly:
         assert run_continuous(m, s, [0, 1]).final.tolist() == [1, 1]
         self._assert_couples(m, s, [0, 1])
 
+    @pytest.mark.parametrize("paranoid", [False, True], ids=["walk", "paranoid"])
+    @pytest.mark.parametrize("policy", ["synchronous", "uniform"])
+    @pytest.mark.parametrize("value", [1.5, float("nan")], ids=["above-one", "nan"])
+    def test_walk_refuses_values_outside_unit_interval(self, value, policy, paranoid):
+        # the walk checks each value it reads as the oracle does; unchecked,
+        # f = 1.5 ran to the final [0, 2, 1, 1] where the oracle raises
+        m = SpinModel(cycle_graph(4), 3, np.full((4, 3), 1.0 / 3), filter_fn=lambda v, c, cn, tau: value)
+        s = generate(m, 3.0, 1)
+        pattern = rf"UpdateId\(.*\): filter f\(v=.*\) = {value!r}, outside \[0, 1\]"
+        with pytest.raises(ValueError, match=pattern):
+            run_continuous(m, s, [0, 1, 2, 0])
+        with pytest.raises(ValueError, match=pattern):
+            run(m, s, [0, 1, 2, 0], make_scheduler(policy, seed=1), paranoid=paranoid)
+
+    def test_walk_stops_at_the_first_disagreement(self):
+        # f is 1 while the first neighbor holds 0, else 0: with beta = 0.5 the
+        # completions (0, 0) and (0, 1) accept and (1, 0) rejects, so the walk
+        # reads three values and leaves the update undecided
+        calls = []
+
+        def filt(v, c, cn, tau):
+            calls.append(tuple(tau))
+            return 1.0 if tau[0] == 0 else 0.0
+
+        m = SpinModel(path_graph(3), 2, np.full((3, 2), 0.5), filter_fn=filt)
+        sim = Simulation(m, generate(m, 1.0, 0), [0, 0, 0], SynchronousScheduler())
+        node = sim.nodes[1]
+        node.i, node.beta, node.c_new, node.S = 1, 0.5, 1, [(0, 1), (0, 1)]
+        assert sim.try_resolve(node) is None
+        assert calls == [(0, 0), (0, 1), (1, 0)]
+
     def test_boundary_coupling_on_tie_grid(self):
         # filter values where 1 - (1 - x) != x, plus 0 and 1; coins on those
         # values and their 1 - (1 - x) images; times on an exact-tie grid
@@ -501,6 +548,27 @@ class TestFilterOnly:
 
 
 class TestExactTies:
+    def test_same_vtime_deliveries(self):
+        # delays of 1e-300 vanish against vtimes near 1, so a decision lands at
+        # the vtime it was sent, in the bucket being drained; it must still be
+        # delivered in (vtime, src, dst, seq) order. The digest pins the trace
+        # text that one heap of (vtime, src, dst, seq, ...) entries gives
+        g = random_regular_graph(12, 3, seed=5)
+        m, y0 = make_coloring(g, 7), greedy_coloring(g, 7)
+        scheduler = FixedDelayScheduler(1.0, {(v, u): 1e-300 for v in range(g.n) for u in g.adj[v] if (v + u) % 2})
+        h, same = hashlib.sha256(), 0
+        for seed in range(20):
+            s = generate(m, 6.0, seed)
+            res = run(m, s, y0, scheduler, collect_trace=True, paranoid=True)
+            assert np.array_equal(res.final, run_continuous(m, s, y0).final), seed
+            sent = {(rec[3], rec[4]): rec[0] for rec in res.trace if rec[1] == "resolve"}
+            same += sum(rec[1] == "dec" and rec[0] == sent[rec[2], rec[5]] for rec in res.trace)
+            buf = io.StringIO()
+            write_trace(res.trace, buf)
+            h.update(buf.getvalue().encode())
+        assert same == 1900
+        assert h.hexdigest() == "dd94c4002a2d4605bd51e15e12dabc62a9e6b8ae06101b8cf3760c46a9bbd380"
+
     def test_coupling_with_shared_time_grid(self):
         # generate() never yields equal times, so hand-built schedules draw
         # every update time from one grid and adjacent nodes tie exactly
@@ -616,6 +684,19 @@ class TestTraceReplay:
     def test_replay_rejects_garbage(self):
         with pytest.raises(ValueError, match="unknown trace event kind"):
             replay_trace(io.StringIO("0.5 bogus 0 1\n"))
+
+    @pytest.mark.parametrize("lines", [
+        ["0.0 enter -1 0", "0.5 enter -1 0"],
+        ["0.0 enter -1 0", "0.5 term -1 1"],
+        ["0.0 enter -1 0", "0.5 resolve -1 3 i=1 accept=1 trigger=self"],
+        ["0.0 enter -1 0", "0.5 term -1 0", "0.6 term -1 0"],
+        ["0.0 enter -1 0", "0.5 term -1 0", "0.6 resolve -1 0 i=1 accept=1 trigger=self"],
+    ], ids=["second-enter", "term-before-enter", "resolve-never-entered", "second-term", "resolve-after-term"])
+    def test_replay_rejects_events_out_of_place(self, lines):
+        # every line is well formed; the trace as a whole is not. The last line
+        # is the one out of place
+        with pytest.raises(ValueError, match=f"trace line {len(lines)}: .* out of place"):
+            replay_trace(io.StringIO("\n".join(lines) + "\n"))
 
     FIELDS = {"enter": 0, "term": 0, "info": 3, "dec": 2, "resolve": 3}
 

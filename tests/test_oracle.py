@@ -1,5 +1,6 @@
 """Sequential reference chains: trivial cases, stationarity, tail bounds."""
 
+import hashlib
 import io
 import itertools
 import math
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from asyncmetro import (
+    SpinModel,
     cycle_graph,
     empty_graph,
     exact_distribution,
@@ -173,6 +175,20 @@ class TestRunDiscrete:
         a = run_discrete(m, 5000, 3, [0] * 5)
         b = run_discrete(m, 5000, 3, [0] * 5)
         assert np.array_equal(a, b)
+
+    def test_stream_kept_by_the_range_check(self):
+        # every state of 2000 steps, as the chain gave them before it checked f
+        h = hashlib.sha256()
+        run_discrete(make_ising(cycle_graph(6), 0.4), 2000, 11, [0] * 6, observer=lambda step, cfg: h.update(bytes(cfg)))
+        assert h.hexdigest() == "f73c362af30760bf062c82976ac27e9f90766d3da22595514fe29b584efa661c"
+
+    @pytest.mark.parametrize("value", [1.5, float("nan")], ids=["above-one", "nan"])
+    def test_filter_value_outside_unit_interval_raises(self, value):
+        # unchecked, f = NaN rejected every move and 50 steps returned the
+        # initial configuration
+        m = SpinModel(cycle_graph(4), 3, np.full((4, 3), 1.0 / 3), filter_fn=lambda v, c, cn, tau: value)
+        with pytest.raises(ValueError, match=rf"step 1: filter f\(v=.*\) = {value!r}, outside \[0, 1\]"):
+            run_discrete(m, 50, 1, [0, 1, 2, 0])
 
 
 class TestExactDistribution:
