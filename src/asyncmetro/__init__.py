@@ -19,15 +19,8 @@ from .graphs import (
     write_edge_list,
 )
 from .models import SpinModel, lipschitz_bound, make_coloring, make_hardcore, make_ising
-from .schedule import UpdateId, UpdateSchedule, generate, total_order
-from .oracle import (
-    ContinuousRun,
-    exact_distribution,
-    horizon_for_steps,
-    run_continuous,
-    run_discrete,
-    total_variation,
-)
+from .schedule import UpdateId, UpdateSchedule, generate, generate_steps, total_order
+from .oracle import ContinuousRun, exact_distribution, run_continuous, run_discrete, total_variation
 from .netsim import (
     FixedDelayScheduler,
     Resolution,

@@ -49,7 +49,8 @@ class ExperimentConfig:
     graph_cols: int
     graph_seed: int
     graph_path: str
-    T: float
+    T: float | None               # the Poisson horizon; None when steps_per_node is set
+    steps_per_node: float | None  # S: exactly round(S * n) updates per run
     y0_policy: str
     y0_values: list[int] | None
     scheduler_policies: list[str]
@@ -95,21 +96,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if kind not in ("coloring", "hardcore", "ising"):
         raise ConfigError(f"[model] kind must be coloring|hardcore|ising, got {kind!r}")
 
-    if "t" in c and "steps_per_node" in c:
-        raise ConfigError("[chain] give either T or steps_per_node, not both")
-    graph_n = int(g.get("n", "0"))
-    if "steps_per_node" in c:
-        base = float(c["steps_per_node"])
-        if graph_n < 1:
-            raise ConfigError("[chain] steps_per_node needs [graph] n")
-        T = oracle.horizon_for_steps(base, graph_n)
-    else:
-        try:
-            T = float(c["T"])
-        except KeyError:
-            raise ConfigError("[chain] needs T (or steps_per_node)") from None
-    if not 0 <= T < math.inf:
-        raise ConfigError(f"[chain] T must be finite and >= 0, got {T}")
+    keys = [k for k in ("T", "steps_per_node") if k in c]
+    if len(keys) != 1:
+        raise ConfigError("[chain] give exactly one of T and steps_per_node")
+    key = keys[0]
+    length = float(c[key])
+    if not 0 <= length < math.inf:
+        raise ConfigError(f"[chain] {key} must be finite and >= 0, got {length}")
 
     y0_policy = c.get("y0", "default").strip().lower()
     y0_values = None
@@ -132,13 +125,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
         lam=float(m.get("lambda", m.get("lam", "1.0"))),
         beta=float(m.get("beta", "0.0")),
         graph_kind=g.get("kind", "").strip().lower(),
-        graph_n=graph_n,
+        graph_n=int(g.get("n", "0")),
         graph_degree=int(g.get("degree", "0")),
         graph_rows=int(g.get("rows", "0")),
         graph_cols=int(g.get("cols", "0")),
         graph_seed=int(g.get("seed", "0")),
         graph_path=g.get("path", "").strip(),
-        T=T,
+        T=length if key == "T" else None,
+        steps_per_node=length if key != "T" else None,
         y0_policy=y0_policy,
         y0_values=y0_values,
         scheduler_policies=policies,
@@ -224,6 +218,13 @@ def build_cell(cfg: ExperimentConfig, n_override: int | None = None) -> tuple[Sp
     return model, initial_configuration(cfg, model)
 
 
+def build_schedule(cfg: ExperimentConfig, model: SpinModel, seed: int) -> sched.UpdateSchedule:
+    """One run's shared randomness: horizon T, or exactly round(S * n) updates for steps_per_node = S."""
+    if cfg.steps_per_node is None:
+        return sched.generate(model, cfg.T, seed)
+    return sched.generate_steps(model, round(cfg.steps_per_node * model.n), seed)
+
+
 def run_one(
     cfg: ExperimentConfig,
     seed: int,
@@ -233,7 +234,7 @@ def run_one(
 ) -> tuple[netsim.SimulationResult, instrument.ResidenceReport, SpinModel]:
     """One seeded run; cell is build_cell's (model, y0), built here when None."""
     model, y0 = cell if cell is not None else build_cell(cfg)
-    sch = sched.generate(model, cfg.T, seed)
+    sch = build_schedule(cfg, model, seed)
     scheduler = _scheduler_for(policy, cfg, seed)
     result = netsim.run(model, sch, y0, scheduler, collect_trace=collect_trace)
     report = instrument.phase2_residence(result, verify=True)
@@ -246,7 +247,7 @@ def cmd_run(cfg: ExperimentConfig, out: IO[str], finals_out: IO[str] | None = No
     for seed in cfg.seeds:
         for policy in cfg.scheduler_policies:
             result, report, model = run_one(cfg, seed, policy, cell=cell)
-            rows.append(instrument.run_csv_row(seed, policy, model, cfg.T, result, report))
+            rows.append(instrument.run_csv_row(seed, policy, model, result.schedule.T, result, report))
             finals.append((seed, policy, result.final.tolist()))
     rows.sort(key=lambda r: (r["seed"], r["scheduler"]))
     instrument.write_csv(rows, out)
@@ -265,7 +266,7 @@ def cmd_verify_coupling(cfg: ExperimentConfig, out: IO[str]) -> int:
     model, y0 = build_cell(cfg)
     checked = 0
     for seed in cfg.seeds:
-        sch = sched.generate(model, cfg.T, seed)
+        sch = build_schedule(cfg, model, seed)
         expected = oracle.run_continuous(model, sch, y0).final
         for policy in cfg.scheduler_policies:
             scheduler = _scheduler_for(policy, cfg, seed)
@@ -304,7 +305,8 @@ def empirical_tv(cfg: ExperimentConfig, runs: int | None = None, workers: int | 
 
 def cmd_tv_test(cfg: ExperimentConfig, out: IO[str]) -> int:
     tv, runs = empirical_tv(cfg)
-    out.write(f"tv_distance={tv!r} runs={runs} T={cfg.T!r}\n")
+    length = f"T={cfg.T!r}" if cfg.steps_per_node is None else f"steps_per_node={cfg.steps_per_node!r}"
+    out.write(f"tv_distance={tv!r} runs={runs} {length}\n")
     if cfg.T == 0:
         out.write("T=0: reported distance is between the initial point mass and the target\n")
     return 0
@@ -359,8 +361,8 @@ class SweepSummary:
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> tuple[list[tuple], SweepSummary]:
-    if not cfg.n_grid:
-        raise ConfigError("[experiment] n_grid is required for sweep")
+    if len(set(cfg.n_grid)) < max(2, len(cfg.n_grid)):
+        raise ConfigError(f"[experiment] sweep needs an n_grid of two or more distinct sizes, got {cfg.n_grid}")
     cells = [(cfg, n, seed) for n in cfg.n_grid for seed in cfg.seeds]
     raw = sorted(_map_cells(_sweep_cell, cells, workers, chunksize=1))
     per_n: dict[int, dict] = {}
@@ -405,6 +407,5 @@ def cmd_sweep(cfg: ExperimentConfig, out: IO[str]) -> int:
 
 def cmd_dump_schedule(cfg: ExperimentConfig, out: IO[str]) -> int:
     model = build_model(cfg, build_graph(cfg))
-    sch = sched.generate(model, cfg.T, cfg.seeds[0])
-    sched.dump(sch, out)
+    sched.dump(build_schedule(cfg, model, cfg.seeds[0]), out)
     return 0

@@ -11,7 +11,7 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from .models import SpinModel, _SPIN
-from .schedule import UpdateSchedule, draw_proposals
+from .schedule import UpdateSchedule, generate_steps
 
 _EXACT_TABLE_LIMIT = 10**6
 
@@ -84,34 +84,20 @@ def run_continuous(model: SpinModel, schedule: UpdateSchedule, y0: Sequence[int]
     return ContinuousRun(np.asarray(cur, dtype=np.int64), schedule, states)
 
 
-def run_discrete(
-    model: SpinModel,
-    n_steps: int,
-    seed: int,
-    x0: Sequence[int],
-    observer: Callable[[int, list[int]], None] | None = None,
-) -> np.ndarray:
-    """Discrete single-site Metropolis chain: uniform node, proposal from nu_v,
-    accept iff a fresh uniform coin is below the filter. Raises ValueError on a
-    filter value outside [0, 1], NaN included."""
-    if n_steps < 0:
-        raise ValueError(f"step count must be >= 0, got {n_steps}")
-    cur = model.check_configuration(x0)
-    rng = np.random.default_rng(seed)
-    adj = model.graph.adj
-    filt = model._filter_raw
-    cdfs = [np.cumsum(model.proposals[v]) for v in range(model.n)]
-    for step in range(n_steps):
-        v = int(rng.integers(model.n))
-        c_new = int(draw_proposals(cdfs[v], rng.random(), model.q))
-        f = filt(v, cur[v], c_new, [cur[u] for u in adj[v]])
-        if not 0.0 <= f <= 1.0:
-            raise ValueError(f"step {step + 1}: filter f(v={v}, c={cur[v]}, c'={c_new}) = {f!r}, outside [0, 1]")
-        if rng.random() < f:
-            cur[v] = c_new
-        if observer is not None:
-            observer(step + 1, cur)
-    return np.asarray(cur, dtype=np.int64)
+def run_discrete(model: SpinModel, n_steps: int, seed: int, x0: Sequence[int],
+                 observer: Callable[[int, list[int]], None] | None = None) -> np.ndarray:
+    """The n_steps-step discrete single-site Metropolis chain: run_continuous on
+    generate_steps(model, n_steps, seed). observer(step, config) sees the state
+    after each step, one list updated in place. ValueError on f outside [0, 1]."""
+    sch = generate_steps(model, n_steps, seed)
+    run = run_continuous(model, sch, x0)
+    if observer is not None:
+        cur = model.check_configuration(x0)
+        nodes = np.repeat(np.arange(sch.n), sch.counts)[sch.order].tolist()
+        for step, (v, state) in enumerate(zip(nodes, run.states), start=1):
+            cur[v] = state
+            observer(step, cur)
+    return run.final
 
 
 def default_weight(model: SpinModel) -> Callable[[Sequence[int]], float]:
@@ -166,13 +152,6 @@ def exact_distribution(
 def total_variation(p: dict[tuple[int, ...], float], q: dict[tuple[int, ...], float]) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
-
-
-def horizon_for_steps(T: float, n: int) -> float:
-    """Continuous horizon T' = 2T + 8 ln n giving >= nT discrete steps whp."""
-    if T < 0 or n < 1:
-        raise ValueError(f"need T >= 0 and n >= 1, got T={T}, n={n}")
-    return 2.0 * T + 8.0 * math.log(n)
 
 
 def write_trajectory(trajectory: list[TrajectoryStep], fh: IO[str]) -> None:

@@ -36,7 +36,7 @@ class UpdateSchedule:
     __slots__ = ("T", "seed", "n", "q", "times", "proposals", "coins", "counts", "starts", "order", "rank")
 
     def __init__(self, T, seed, n, q, times, proposals, coins):
-        self.T = float(T)
+        self.T = _check_horizon(T)
         self.seed = seed
         self.n = n
         self.q = q
@@ -98,6 +98,12 @@ class UpdateSchedule:
         return f"UpdateSchedule(n={self.n}, T={self.T}, seed={self.seed}, updates={self.total_updates})"
 
 
+def _check_horizon(T) -> float:
+    if not 0 <= T < math.inf:
+        raise ValueError(f"time horizon T must be finite and >= 0, got {T}")
+    return float(T)
+
+
 def _poisson_times(rng: np.random.Generator, T: float) -> np.ndarray:
     """Rate-1 Poisson arrival times strictly inside (0, T)."""
     if T <= 0.0:
@@ -117,21 +123,41 @@ def _poisson_times(rng: np.random.Generator, T: float) -> np.ndarray:
 
 def generate(model: SpinModel, T: float, seed: int) -> UpdateSchedule:
     """Draw the full shared randomness for (model, T, seed); fully deterministic."""
-    if not 0 <= T < math.inf:
-        raise ValueError(f"time horizon must be finite and >= 0, got {T}")
+    T = _check_horizon(T)  # before the draw loop, which never ends on an infinite T
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     n, q = model.n, model.q
     times, proposals, coins = [], [], []
     for v in range(n):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), v)))
-        t = _poisson_times(rng, float(T))
+        t = _poisson_times(rng, T)
         m = len(t)
         props = draw_proposals(np.cumsum(model.proposals[v]), rng.random(m), q)
         times.append(t)
         proposals.append(props.astype(np.int64))
         coins.append(rng.random(m))
-    return UpdateSchedule(float(T), int(seed), n, q, times, proposals, coins)
+    return UpdateSchedule(T, int(seed), n, q, times, proposals, coins)
+
+
+def generate_steps(model: SpinModel, N: int, seed: int) -> UpdateSchedule:
+    """Exactly N updates: one stream draws N + 1 gaps of a rate-n Poisson clock, N
+    uniform nodes, N proposal uniforms and N coins; T is the (N + 1)-th arrival. By Poisson
+    superposition the nodes are i.i.d. uniform, so this is the N-step discrete chain."""
+    n, q = model.n, model.q
+    if N < 0 or seed < 0 or (N > 0 and n == 0):
+        raise ValueError(f"need step count N >= 0, seed >= 0 and a node to step; got N={N}, seed={seed}, n={n}")
+    if n == 0:
+        return UpdateSchedule(0.0, int(seed), 0, q, [], [], [])  # no nodes, no clock
+    rng = np.random.default_rng(seed)
+    arrivals = np.cumsum(rng.exponential(1.0 / n, N + 1))
+    nodes = rng.integers(n, size=N)
+    uniforms, coins = rng.random(N), rng.random(N)
+    by_node = np.argsort(nodes, kind="stable")  # keeps each node's draws in time order
+    cuts = np.cumsum(np.bincount(nodes, minlength=n))[:-1]
+    times, uniforms, coins = (np.split(a[by_node], cuts) for a in (arrivals[:N], uniforms, coins))
+    cdfs = np.cumsum(model.proposals, axis=1)  # row v is np.cumsum(model.proposals[v]), as generate uses
+    proposals = [draw_proposals(cdfs[v], u, q).astype(np.int64) for v, u in enumerate(uniforms)]
+    return UpdateSchedule(arrivals[N], int(seed), n, q, times, proposals, coins)
 
 
 def draw_proposals(cdf, coins, q: int):

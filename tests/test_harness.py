@@ -31,6 +31,31 @@ seeds = 1:5
 """
 
 
+# a 3x4 grid sets no [graph] n; 2.5 steps per node are 30 updates on its 12 nodes
+STEPS_CONFIG = """\
+[model]
+kind = hardcore
+lambda = 1.0
+
+[graph]
+kind = grid
+rows = 3
+cols = 4
+
+[chain]
+steps_per_node = 2.5
+y0 = zeros
+
+[scheduler]
+policies = synchronous, uniform
+seed = 4
+
+[experiment]
+seeds = 1:3
+runs = 20
+"""
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "exp.ini"
@@ -71,9 +96,13 @@ class TestLoadConfig:
 
     def test_steps_per_node_macro(self, tmp_path):
         path = tmp_path / "steps.ini"
-        path.write_text(BASE_CONFIG.replace("T = 3.0", "steps_per_node = 3.0"))
+        path.write_text(STEPS_CONFIG)
         cfg = harness.load_config(path)
-        assert cfg.T == pytest.approx(oracle.horizon_for_steps(3.0, 6))
+        assert (cfg.T, cfg.steps_per_node) == (None, 2.5)
+        for seed in cfg.seeds:
+            for policy in cfg.scheduler_policies:
+                result, _, model = harness.run_one(cfg, seed, policy)
+                assert (model.n, result.schedule.total_updates) == (12, 30)
 
     def test_seed_list_form(self, tmp_path):
         path = tmp_path / "s.ini"
@@ -275,6 +304,57 @@ class TestCommands:
         _, summary = harness.run_sweep(harness.load_config(path))
         assert all(d["max_max_residence"] == 0.0 for d in summary.per_n.values())
 
+    @pytest.mark.parametrize("grid", ["9", "9, 9", "16, 9, 16"])
+    def test_sweep_rejects_degenerate_grid(self, tmp_path, capsys, grid):
+        # one size gave a fit through one point; a repeated size ran and printed its cells twice
+        path = tmp_path / "sw.ini"
+        path.write_text(BASE_CONFIG + f"n_grid = {grid}\n")
+        with pytest.raises(ConfigError, match="n_grid"):
+            harness.run_sweep(harness.load_config(path))
+        assert cli.main(["sweep", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "n_grid" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "verify-coupling", "tv-test", "dump-schedule"])
+    def test_steps_per_node_schedules(self, tmp_path, monkeypatch, command):
+        built = []
+        build = harness.build_schedule
+
+        def spy(cfg, model, seed):
+            sch = build(cfg, model, seed)
+            built.append((model.n, sch.total_updates, seed, sch.T))
+            return sch
+
+        monkeypatch.setattr(harness, "build_schedule", spy)
+        monkeypatch.delenv(harness.WORKERS_ENV, raising=False)
+        path, out = tmp_path / "steps.ini", tmp_path / "out.txt"
+        path.write_text(STEPS_CONFIG)
+        assert cli.main([command, str(path), "-o", str(out)]) == 0
+        assert built and {(n, m) for n, m, *_ in built} == {(12, 30)}
+        if command == "run":
+            # the T column is each run's drawn horizon
+            drawn = {seed: T for _, _, seed, T in built}
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            assert len(rows) == 3 * 2 and all(float(r[6]) == drawn[int(r[0])] for r in rows)
+        if command == "dump-schedule":
+            with open(out) as fh:
+                assert sched_mod.load(fh, q=2).total_updates == 30
+
+    def test_sweep_steps_per_node_per_size(self, tmp_path, monkeypatch):
+        # each size n runs round(S * n) updates; a shared horizon gave every size one T
+        seen = []
+        execute = netsim.run
+
+        def spy(model, sch, *args, **kwargs):
+            seen.append((model.n, sch.total_updates))
+            return execute(model, sch, *args, **kwargs)
+
+        monkeypatch.setattr(netsim, "run", spy)
+        path = tmp_path / "sw.ini"
+        path.write_text(STEPS_CONFIG.replace("kind = grid\nrows = 3\ncols = 4", "kind = cycle\nn = 6") + "n_grid = 4, 16\n")
+        raw, _ = harness.run_sweep(harness.load_config(path), workers=1)
+        assert len(raw) == 2 * 3 and sorted(set(seen)) == [(4, 10), (16, 40)]
+
     def test_verify_coupling_empty_schedule(self, tmp_path):
         path = tmp_path / "t0.ini"
         path.write_text(BASE_CONFIG.replace("T = 3.0", "T = 0"))
@@ -405,15 +485,17 @@ class TestCli:
         assert cli.main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
-    @pytest.mark.parametrize("chain", ["T = inf", "T = nan", "steps_per_node = inf"])
+    @pytest.mark.parametrize("chain", ["T = inf", "T = nan", "steps_per_node = inf",
+                                       "steps_per_node = nan", "steps_per_node = -0.5"])
     def test_non_finite_horizon_exits_2(self, tmp_path, capsys, chain):
+        key = chain.split()[0]
         path = tmp_path / "t.ini"
         path.write_text(BASE_CONFIG.replace("T = 3.0", chain))
-        with pytest.raises(ConfigError, match=r"\[chain\] T"):
+        with pytest.raises(ConfigError, match=rf"\[chain\] {key}"):
             harness.load_config(path)
         assert cli.main(["run", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: [chain] T") and "Traceback" not in err
+        assert err.startswith(f"config error: [chain] {key}") and "Traceback" not in err
 
     def test_infinite_fugacity_exits_2(self, tmp_path, capsys):
         path = tmp_path / "lam.ini"

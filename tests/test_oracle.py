@@ -14,7 +14,6 @@ from asyncmetro import (
     empty_graph,
     exact_distribution,
     generate,
-    horizon_for_steps,
     make_coloring,
     make_hardcore,
     make_ising,
@@ -176,18 +175,18 @@ class TestRunDiscrete:
         b = run_discrete(m, 5000, 3, [0] * 5)
         assert np.array_equal(a, b)
 
-    def test_stream_kept_by_the_range_check(self):
-        # every state of 2000 steps, as the chain gave them before it checked f
+    def test_stream_pinned_on_generate_steps(self):
+        # every state of 2000 steps of the chain on generate_steps(model, 2000, 11)
         h = hashlib.sha256()
         run_discrete(make_ising(cycle_graph(6), 0.4), 2000, 11, [0] * 6, observer=lambda step, cfg: h.update(bytes(cfg)))
-        assert h.hexdigest() == "f73c362af30760bf062c82976ac27e9f90766d3da22595514fe29b584efa661c"
+        assert h.hexdigest() == "34720e4e48389977918ac4adfee68ccd0026b3a0c040373186c41f8ade136ed7"
 
     @pytest.mark.parametrize("value", [1.5, float("nan")], ids=["above-one", "nan"])
     def test_filter_value_outside_unit_interval_raises(self, value):
         # unchecked, f = NaN rejected every move and 50 steps returned the
         # initial configuration
         m = SpinModel(cycle_graph(4), 3, np.full((4, 3), 1.0 / 3), filter_fn=lambda v, c, cn, tau: value)
-        with pytest.raises(ValueError, match=rf"step 1: filter f\(v=.*\) = {value!r}, outside \[0, 1\]"):
+        with pytest.raises(ValueError, match=rf"index=1\): filter f\(v=.*\) = {value!r}, outside \[0, 1\]"):
             run_discrete(m, 50, 1, [0, 1, 2, 0])
 
 
@@ -234,14 +233,3 @@ class TestExactDistribution:
         q = {(0,): 1.0}
         assert total_variation(p, q) == pytest.approx(0.5)
         assert total_variation(p, p) == 0.0
-
-
-class TestBridge:
-    def test_horizon_for_steps(self):
-        assert horizon_for_steps(10.0, 100) == pytest.approx(20 + 8 * math.log(100))
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            horizon_for_steps(-1.0, 10)
-        with pytest.raises(ValueError):
-            horizon_for_steps(1.0, 0)

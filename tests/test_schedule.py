@@ -9,13 +9,22 @@ import pytest
 from scipy import stats as scistats
 
 from asyncmetro import (
+    Graph,
     UpdateId,
     UpdateSchedule,
     cycle_graph,
     empty_graph,
     generate,
+    generate_steps,
+    greedy_coloring,
     make_coloring,
     make_hardcore,
+    make_ising,
+    make_scheduler,
+    phase2_residence,
+    random_regular_graph,
+    run,
+    run_continuous,
     total_order,
 )
 from asyncmetro import schedule as sched_mod
@@ -126,6 +135,65 @@ class TestGenerate:
             assert np.all(np.diff(s.times[v]) > 0)
 
 
+class TestGenerateSteps:
+    def test_exactly_n_updates_before_T(self):
+        m = make_coloring(cycle_graph(7), 4)
+        for N in (0, 1, 7, 100):
+            s = generate_steps(m, N, 3)
+            assert s.total_updates == sum(s.counts) == N
+            assert all(s.T > t.max() for t in s.times if len(t))
+            assert s.T > 0.0
+
+    @pytest.mark.parametrize("policy", ["synchronous", "uniform", "adversarial-max"])
+    def test_engine_matches_oracle(self, policy):
+        isolated = Graph(6, [(0, 1), (1, 2), (4, 5)])  # node 3 has no neighbours
+        regular = random_regular_graph(16, 3, 2)
+        cases = [
+            (make_coloring(regular, 6), greedy_coloring(regular, 6), 80),
+            (make_ising(isolated, 0.5), [0] * 6, 40),
+            (make_hardcore(empty_graph(1), 0.7), [0], 15),
+            (make_coloring(cycle_graph(5), 4), [0, 1, 0, 1, 2], 0),
+        ]
+        for k, (m, y0, N) in enumerate(cases):
+            s = generate_steps(m, N, 10 + k)
+            assert s.total_updates == N
+            res = run(m, s, y0, make_scheduler(policy, seed=k), paranoid=True)
+            assert np.array_equal(res.final, run_continuous(m, s, y0).final)
+            phase2_residence(res, verify=True)
+
+    def test_node_counts_are_uniform(self):
+        s = generate_steps(make_coloring(empty_graph(50), 3), 20_000, 5)
+        assert scistats.chisquare(s.counts).pvalue > 0.01
+
+    @staticmethod
+    def assert_same(a, b):
+        assert (a.n, a.T, a.seed) == (b.n, b.T, b.seed)
+        for v in range(a.n):
+            assert np.array_equal(a.times[v], b.times[v])
+            assert np.array_equal(a.proposals[v], b.proposals[v])
+            assert np.array_equal(a.coins[v], b.coins[v])
+
+    def test_determinism(self):
+        m = make_hardcore(cycle_graph(6), 0.7)
+        self.assert_same(generate_steps(m, 300, 8), generate_steps(m, 300, 8))
+
+    def test_dump_load_roundtrip(self):
+        s = generate_steps(make_hardcore(cycle_graph(5), 0.4), 60, 77)
+        buf = io.StringIO()
+        sched_mod.dump(s, buf)
+        buf.seek(0)
+        self.assert_same(sched_mod.load(buf, q=2), s)
+
+    def test_empty_graph_without_steps(self):
+        s = generate_steps(make_coloring(empty_graph(0), 2), 0, 1)
+        assert (s.n, s.T, s.total_updates) == (0, 0.0, 0)
+
+    @pytest.mark.parametrize("n, N, seed", [(3, -1, 1), (3, 5, -1), (0, 1, 1)])
+    def test_bad_arguments_raise(self, n, N, seed):
+        with pytest.raises(ValueError, match=f"got N={N}, seed={seed}, n={n}"):
+            generate_steps(make_coloring(empty_graph(n), 2), N, seed)
+
+
 class TestTotalOrder:
     def test_empty(self):
         m = make_coloring(empty_graph(3), 2)
@@ -194,6 +262,12 @@ class TestDumpLoad:
             assert np.array_equal(s.proposals[v], s2.proposals[v])
             assert np.array_equal(s.coins[v], s2.coins[v])
 
+    @pytest.mark.parametrize("T", ["nan", "inf", "-2.0"])
+    def test_load_rejects_bad_horizon(self, T):
+        # with no update to bound, the header's T was taken as it stood
+        with pytest.raises(ValueError, match=f"time horizon T must be finite and >= 0, got {T}"):
+            sched_mod.load(io.StringIO(f"3 {T} 1\n"), q=2)
+
     def test_load_rejects_gapped_indices(self):
         text = "2 1.0 0\n0 1 0.25 1 0.5\n0 3 0.75 1 0.5\n"
         with pytest.raises(ValueError):
@@ -213,6 +287,12 @@ class TestScheduleValidation:
     def test_rejects_nan_times(self, times):
         with pytest.raises(ValueError, match="times"):
             make_manual(1.0, [times])
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, -2.0])
+    def test_rejects_bad_horizon(self, T):
+        for times in ([], [[]], [[], []]):
+            with pytest.raises(ValueError, match="horizon T"):
+                make_manual(T, times)
 
     def test_rejects_nan_coins(self):
         with pytest.raises(ValueError, match="coins"):
