@@ -16,7 +16,6 @@ from .graphs import (
     random_regular_graph,
     read_edge_list,
     star_graph,
-    write_edge_list,
 )
 from .models import SpinModel, lipschitz_bound, make_coloring, make_hardcore, make_ising
 from .schedule import UpdateId, UpdateSchedule, generate, generate_steps, total_order

@@ -145,9 +145,3 @@ def read_edge_list(path: str | Path, n: int | None = None) -> Graph:
     if n is None:
         n = top + 1
     return Graph(n, edges)
-
-
-def write_edge_list(graph: Graph, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        for u, v in graph.edges():
-            fh.write(f"{u} {v}\n")

@@ -36,6 +36,17 @@ class ConfigError(ValueError):
     pass
 
 
+# every key load_config reads, per section, in any case; [DEFAULT] would reach every section
+CONFIG_KEYS = {
+    "DEFAULT": (),
+    "model": ("kind", "q", "lambda", "beta"),
+    "graph": ("kind", "n", "degree", "rows", "cols", "seed", "path"),
+    "chain": ("T", "steps_per_node", "y0", "y0_values"),
+    "scheduler": ("policies", "seed"),
+    "experiment": ("seeds", "n_grid", "runs"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     model_kind: str
@@ -83,6 +94,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
+    for name, section in parser.items():  # [DEFAULT] first
+        if name not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config section [{name}]; sections are {', '.join(CONFIG_KEYS)}")
+        unknown = [k for k in section if k not in [key.lower() for key in CONFIG_KEYS[name]]]
+        if unknown:
+            raise ConfigError(f"[{name}] unknown key(s) {', '.join(unknown)}; keys are {', '.join(CONFIG_KEYS[name])}")
     try:
         m = parser["model"]
         g = parser["graph"]
@@ -111,7 +128,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError("[chain] y0 = fixed needs y0_values")
         y0_values = [int(x) for x in c["y0_values"].replace(",", " ").split()]
 
-    policies = [p.strip() for p in s.get("policies", s.get("policy", "synchronous")).split(",")]
+    policies = [p.strip() for p in s.get("policies", "synchronous").split(",")]
     for p in policies:
         if p not in netsim.SCHEDULER_POLICIES:
             raise ConfigError(f"unknown scheduler policy {p!r}")
@@ -122,7 +139,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     cfg = ExperimentConfig(
         model_kind=kind,
         q=int(m.get("q", "2")),
-        lam=float(m.get("lambda", m.get("lam", "1.0"))),
+        lam=float(m.get("lambda", "1.0")),
         beta=float(m.get("beta", "0.0")),
         graph_kind=g.get("kind", "").strip().lower(),
         graph_n=int(g.get("n", "0")),
@@ -187,7 +204,7 @@ def initial_configuration(cfg: ExperimentConfig, model: SpinModel) -> np.ndarray
     policy = cfg.y0_policy
     if policy == "default":
         policy = "greedy" if model.kind == "coloring" else "zeros"
-    if policy in ("zeros", "all-zero"):
+    if policy == "zeros":
         return np.zeros(model.n, dtype=np.int64)
     if policy == "greedy":
         if model.kind != "coloring":
@@ -307,13 +324,13 @@ def cmd_tv_test(cfg: ExperimentConfig, out: IO[str]) -> int:
     tv, runs = empirical_tv(cfg)
     length = f"T={cfg.T!r}" if cfg.steps_per_node is None else f"steps_per_node={cfg.steps_per_node!r}"
     out.write(f"tv_distance={tv!r} runs={runs} {length}\n")
-    if cfg.T == 0:
-        out.write("T=0: reported distance is between the initial point mass and the target\n")
+    if cfg.T == 0 or (cfg.steps_per_node is not None and round(cfg.steps_per_node * build_graph(cfg).n) == 0):
+        out.write("zero updates per run: reported distance is between the initial point mass and the target\n")
     return 0
 
 
 def fit_log_n(ns, ys) -> tuple[float, float, float, list[float]]:
-    """Least-squares fit y = a + b*ln n; returns (a, b, R^2, residuals)."""
+    """Least-squares fit y = a + b*ln n; returns (a, b, R^2, residuals), R^2 nan below 3 points."""
     x = np.log(np.asarray(ns, dtype=float))
     y = np.asarray(ys, dtype=float)
     b, a = np.polyfit(x, y, 1)
@@ -321,7 +338,7 @@ def fit_log_n(ns, ys) -> tuple[float, float, float, list[float]]:
     resid = (y - pred).tolist()
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    r2 = math.nan if len(x) < 3 else 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(a), float(b), r2, resid
 
 

@@ -249,19 +249,26 @@ class RunStats:
     max_message_bits: int
 
     @classmethod
-    def derive(cls, entry_times: Sequence[float], term_times: Sequence[float], **counters) -> RunStats:
+    def derive(cls, entry_times: Sequence[float], term_times: Sequence[float],
+               infos: Sequence[tuple[int, int, int]], decisions: int) -> RunStats:
         """Stats of a run from per-node Phase-II entry and termination times
-        (node order) and the message counters."""
+        (node order), the (frags, bits, maxfrag) of each PhaseOneInfo message (one
+        per directed channel) and the number of decision messages sent."""
         entry = np.array(entry_times, dtype=float)
         term = np.array(term_times, dtype=float)
         phase1_end = float(entry.max()) if len(entry) else 0.0
+        frags, bits, maxfrag = zip(*infos) if infos else ((), (), ())
         return cls(
             makespan=float(term.max()) if len(term) else 0.0,
             phase1_end=phase1_end,
             residence=np.maximum(term - phase1_end, 0.0),
             entry_times=entry,
             termination_times=term,
-            **counters,
+            phase1_messages=len(infos),
+            phase1_fragments=sum(frags),
+            decision_messages=decisions,
+            total_bits=sum(bits) + decisions * DECISION_BITS,
+            max_message_bits=max((*maxfrag, DECISION_BITS if decisions else 0)),  # 0 with no messages
         )
 
     @property
@@ -374,8 +381,7 @@ class Simulation:
         self.resolutions: list[Resolution] = []
         self.trace: list[tuple] | None = [] if collect_trace else None
         self.info: list[tuple[int, int, int]] = []
-        self.phase1_messages = self.phase1_fragments = self.decision_messages = 0
-        self.total_bits = self.max_message_bits = 0
+        self.decision_messages = 0
         self._executed = False
 
     # -- channel plumbing ---------------------------------------------------
@@ -399,10 +405,6 @@ class Simulation:
                     t += d
                 node.out_last[k] = t
                 self.buckets.setdefault(t, []).append((u, v, 0, False, node.rslot[k]))
-                self.phase1_messages += 1
-                self.phase1_fragments += m_u + 1
-                self.total_bits += bits
-                self.max_message_bits = max(self.max_message_bits, maxfrag)
         self.times = sorted(self.buckets)  # a sorted list is a heap
 
     # -- protocol handlers (Phase II) ---------------------------------------
@@ -546,10 +548,7 @@ class Simulation:
                 bucket.sort(reverse=True)
             elif len(bucket) == 1:
                 heappush(self.times, deliver)
-        if node.nbrs:
-            self.decision_messages += len(node.nbrs)
-            self.total_bits += len(node.nbrs) * DECISION_BITS
-            self.max_message_bits = max(self.max_message_bits, DECISION_BITS)
+        self.decision_messages += len(node.nbrs)
         self._advance(node, vtime)
 
     # -- main loop -----------------------------------------------------------
@@ -611,11 +610,8 @@ class Simulation:
         stats = RunStats.derive(
             [nd.entry for nd in self.nodes],
             [nd.term for nd in self.nodes],
-            phase1_messages=self.phase1_messages,
-            phase1_fragments=self.phase1_fragments,
-            decision_messages=self.decision_messages,
-            total_bits=self.total_bits,
-            max_message_bits=self.max_message_bits,
+            [rec for nd, rec in zip(self.nodes, self.info) for _ in nd.nbrs],  # one per channel
+            self.decision_messages,
         )
         final = np.array([nd.value for nd in self.nodes], dtype=np.int64)
         return SimulationResult(final, stats, self.resolutions, self.trace, self.schedule)
@@ -681,7 +677,8 @@ def replay_trace(fh: IO[str]) -> tuple[RunStats, list[Resolution]]:
     entry: dict[int, float] = {}
     term: dict[int, float] = {}
     resolutions: list[Resolution] = []
-    phase1_messages = phase1_fragments = decisions = info_bits = max_bits = 0
+    infos: list[tuple[int, int, int]] = []
+    decisions = 0
     match = _TRACE_LINE.fullmatch
     for lineno, line in enumerate(fh, start=1):
         m = match(line)
@@ -697,10 +694,7 @@ def replay_trace(fh: IO[str]) -> tuple[RunStats, list[Resolution]]:
         if kind == "dec":
             decisions += 1
         elif kind == "info":
-            phase1_messages += 1
-            phase1_fragments += int(m["frags"])
-            info_bits += int(m["bits"])
-            max_bits = max(max_bits, int(m["maxfrag"]))
+            infos.append((int(m["frags"]), int(m["bits"]), int(m["maxfrag"])))
         else:
             event, v = (m["edge"], int(m["v"])) if kind == "phase2" else (kind, int(m["node"]))
             if (v in entry) if event == "enter" else (v not in entry or v in term):
@@ -714,13 +708,4 @@ def replay_trace(fh: IO[str]) -> tuple[RunStats, list[Resolution]]:
     nodes = sorted(entry)
     if len(nodes) != len(term):
         raise ValueError("trace has a node that entered Phase II and never terminated")
-    stats = RunStats.derive(
-        [entry[v] for v in nodes],
-        [term[v] for v in nodes],
-        phase1_messages=phase1_messages,
-        phase1_fragments=phase1_fragments,
-        decision_messages=decisions,
-        total_bits=info_bits + decisions * DECISION_BITS,
-        max_message_bits=max(max_bits, DECISION_BITS) if decisions else max_bits,
-    )
-    return stats, resolutions
+    return RunStats.derive([entry[v] for v in nodes], [term[v] for v in nodes], infos, decisions), resolutions

@@ -39,24 +39,6 @@ class ContinuousRun:
         return [TrajectoryStep(*sch.update_at(pos), times[pos], s) for pos, s in steps]
 
 
-def configuration_at(
-    schedule: UpdateSchedule, y0: Sequence[int], trajectory: list[TrajectoryStep], t: float
-) -> np.ndarray:
-    """Chain state at an arbitrary time: each node holds the value set by its
-    last update with time <= t (right-open interval convention), else its
-    initial value."""
-    if not 0.0 <= t <= schedule.T:
-        raise ValueError(f"query time {t} outside [0, {schedule.T}]")
-    if len(y0) != schedule.n:
-        raise ValueError(f"configuration has length {len(y0)}, expected {schedule.n}")
-    cur = [int(x) for x in y0]
-    for step in trajectory:
-        if step.time > t:
-            break
-        cur[step.node] = step.new_state
-    return np.asarray(cur, dtype=np.int64)
-
-
 def run_continuous(model: SpinModel, schedule: UpdateSchedule, y0: Sequence[int]) -> ContinuousRun:
     """Drive the continuous-time chain with the schedule's randomness.
 

@@ -1,9 +1,10 @@
 """Shared randomness of the coupling: Poisson update times, proposals, and coins.
 
-One master seed splits into per-node independent streams keyed by node id;
-each stream yields exponential clock gaps, then proposals, then coins. A
-node's draws are therefore invariant to the graph size and to other nodes'
-randomness. The global processing order is the strict total order on
+Under generate (horizon T), one master seed splits into per-node independent
+streams keyed by node id; each stream yields exponential clock gaps, then
+proposals, then coins, so a node's draws are invariant to the graph size and
+to other nodes' randomness. generate_steps (exactly N updates) draws from one
+stream instead. The global processing order is the strict total order on
 (time, node, index), which breaks exact time ties deterministically.
 """
 

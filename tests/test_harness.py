@@ -2,6 +2,10 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +254,21 @@ class TestCommands:
         # all runs sit at the initial all-zero configuration
         assert tv == pytest.approx(1.0 - exact[(0, 0, 0)])
 
+    @pytest.mark.parametrize("chain, note", [("T = 0", True), ("steps_per_node = 0.1", True),
+                                             ("steps_per_node = 0.5", False)])
+    def test_tv_test_notes_runs_without_updates(self, tmp_path, chain, note):
+        # on a 3-cycle, 0.1 steps per node round to 0 updates a run; 0.5 round to 2
+        path = tmp_path / "tv0.ini"
+        path.write_text(
+            "[model]\nkind = hardcore\nlambda = 1.0\n\n"
+            "[graph]\nkind = cycle\nn = 3\n\n"
+            f"[chain]\n{chain}\ny0 = zeros\n\n"
+            "[experiment]\nseeds = 1:1\nruns = 30\n"
+        )
+        out = io.StringIO()
+        assert harness.cmd_tv_test(harness.load_config(path), out) == 0
+        assert ("initial point mass" in out.getvalue()) is note
+
     def test_sweep_summary(self, tmp_path):
         path = tmp_path / "sw.ini"
         path.write_text(
@@ -268,6 +287,15 @@ class TestCommands:
         out = io.StringIO()
         assert harness.cmd_sweep(cfg, out) == 0
         assert "# fit max_residence" in out.getvalue()
+
+    def test_two_size_sweep_reports_no_r2(self, tmp_path):
+        # a line through two points always fits, so R^2 would read 1.0 and say nothing
+        assert math.isnan(harness.fit_log_n([4, 16], [1.0, 3.0])[2])
+        path = tmp_path / "sw2.ini"
+        path.write_text(BASE_CONFIG.replace("seeds = 1:5", "seeds = 1:2\nn_grid = 4, 16"))
+        out = io.StringIO()
+        assert harness.cmd_sweep(harness.load_config(path), out) == 0
+        assert ", R2=nan\n" in out.getvalue()
 
     def test_sweep_requires_grid(self, config_path):
         cfg = harness.load_config(config_path)
@@ -453,6 +481,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert f"makespan={res.stats.makespan!r}" in out
         assert f"total_bits={res.stats.total_bits}" in out
+
+    @pytest.mark.parametrize("text, named", [
+        (STEPS_CONFIG.replace("lambda = 1.0", "lamda = 50"), "[model] unknown key(s) lamda;"),
+        (STEPS_CONFIG.replace("seed = 4", "policy = uniform"), "[scheduler] unknown key(s) policy;"),
+        (STEPS_CONFIG + "[extra]\nruns = 5\n", "unknown config section [extra];"),
+        ("[DEFAULT]\nseed = 2\n" + STEPS_CONFIG, "[DEFAULT] unknown key(s) seed;"),
+    ], ids=["misspelled-key", "second-spelling", "unknown-section", "default-section"])
+    def test_unread_config_entry_exits_2(self, tmp_path, capsys, text, named):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err and "Traceback" not in err
+
+    def test_module_entry_point(self):
+        # python -m asyncmetro runs the CLI from a checkout, without an install
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "asyncmetro", "--help"], env=env,
+                              capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0 and "replay-trace" in done.stdout
 
     def test_replay_trace_missing_file(self, tmp_path):
         assert cli.main(["replay-trace", str(tmp_path / "nope.txt")]) == 2

@@ -231,6 +231,22 @@ class TestRun:
         assert res.stats.total_bits == expected_phase1 + res.stats.decision_messages
         assert res.stats.max_message_bits == upd
 
+    @pytest.mark.parametrize("infos, decisions, expected", [
+        ([], 0, (0, 0, 0, 0, 0)),
+        # info records but no decisions (the T = 0 case): DECISION_BITS counts nowhere
+        ([(1, 4, 4), (1, 4, 4), (1, 6, 6)], 0, (3, 3, 0, 14, 6)),
+        ([(1, 0, 0)], 0, (1, 1, 0, 0, 0)),
+        ([(3, 20, 8), (1, 2, 2)], 5, (2, 4, 5, 22 + 5 * netsim.DECISION_BITS, 8)),
+        # with only 0-bit info records a decision is the largest message
+        ([(1, 0, 0)], 2, (1, 1, 2, 2 * netsim.DECISION_BITS, netsim.DECISION_BITS)),
+    ], ids=["empty", "info-only", "zero-bit-info", "info-and-decisions", "decision-largest"])
+    def test_derive_counters_from_records(self, infos, decisions, expected):
+        st = netsim.RunStats.derive([0.5, 1.0], [2.0, 1.5], infos, decisions)
+        assert (st.phase1_messages, st.phase1_fragments, st.decision_messages,
+                st.total_bits, st.max_message_bits) == expected
+        assert st.message_count == len(infos) + decisions
+        assert (st.makespan, st.phase1_end, st.residence.tolist()) == (2.0, 1.0, [1.0, 0.5])
+
     def test_mismatched_schedule_rejected(self):
         m = make_coloring(cycle_graph(4), 3)
         other = make_coloring(cycle_graph(5), 3)
@@ -839,7 +855,8 @@ class TestSchedulers:
         with pytest.raises(ValueError, match=r"outside \(0, 1\]"):
             sim.execute()
         assert len(drawn) == 1 and sim.resolutions
-        assert sim.phase1_fragments == sum(2 * (m_v + 1) for m_v in s.counts)
+        # every channel's Phase-I info was queued, m + 1 fragments of 0.5, before the raise
+        assert all(nd.out_last == [0.5 * (nd.m + 1)] * len(nd.nbrs) for nd in sim.nodes)
 
     def test_uniform_draws_one_scalar_per_message(self):
         # the shared block leaves the generator exactly where one scalar draw per

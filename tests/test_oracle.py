@@ -111,17 +111,6 @@ class TestRunContinuous:
         with pytest.raises(ValueError):
             run_continuous(m, s, [0, 1])
 
-    def test_configuration_at_right_open_convention(self):
-        m = make_coloring(path_graph(2), 3)
-        s = make_manual(1.0, [[0.4], []], proposals=[[2], []], coins=[[0.0], []], q=3)
-        out = run_continuous(m, s, [0, 1])
-        assert oracle_mod.configuration_at(s, [0, 1], out.trajectory, 0.3).tolist() == [0, 1]
-        # at the update time itself the new value already holds
-        assert oracle_mod.configuration_at(s, [0, 1], out.trajectory, 0.4).tolist() == [2, 1]
-        assert oracle_mod.configuration_at(s, [0, 1], out.trajectory, 1.0).tolist() == [2, 1]
-        with pytest.raises(ValueError):
-            oracle_mod.configuration_at(s, [0, 1], out.trajectory, 1.5)
-
     def test_trajectory_export(self):
         m = make_coloring(cycle_graph(4), 5)
         s = generate(m, 2.0, 8)
