@@ -146,16 +146,11 @@ def possible_states(
 
 def _possible_set(props_u, hist_u, j_u: int, idx: int) -> tuple[int, ...]:
     """possible_states as a tuple, given idx = the count of u's updates before
-    the query and no argument checks; the engine's route."""
+    the query and no argument checks; the engine's route. A state may repeat:
+    edge_range reads only min and max, and filter-only callers deduplicate."""
     if idx < j_u:
         return (hist_u[idx],)
-    base = hist_u[j_u - 1]
-    window = props_u[j_u - 1 : idx]
-    if not window:
-        return (base,)
-    s = set(window)
-    s.add(base)
-    return tuple(s)
+    return (hist_u[j_u - 1], *props_u[j_u - 1 : idx])
 
 
 def _check_state_sets(model: SpinModel, v: int, neighbor_states) -> list[tuple[int, ...]]:
@@ -298,7 +293,8 @@ class SimulationResult:
 class _Node:
     """Per-node protocol state. The lists are indexed by neighbor slot k, the
     position in nbrs: the neighbor's known prefix length j and resolved states
-    hist (initial value first), its possible set S and edge range fmin/fmax,
+    hist (initial value first), its edge range fmin/fmax (edge-factor models) or
+    its deduplicated possible set S (filter-only models; None otherwise),
     win[k][i - 1] = its count of updates before this node's update i, rslot =
     this node's slot in its adjacency, dly and out_last = the delays and the last
     delivery of the channel to it. The node is in Phase I while info_pending,
@@ -356,7 +352,6 @@ class Simulation:
         self.schedule = schedule
         self.paranoid = paranoid
         self.factor = model.edge_factor_fn
-        self.skip_points = self.factor is not None and not paranoid
         self.props_l = [p.tolist() for p in schedule.proposals]
         coins_l = [b.tolist() for b in schedule.coins]
         adj, m, at = model.graph.adj, schedule.counts, schedule.starts
@@ -425,13 +420,11 @@ class Simulation:
         u = node.nbrs[k]
         props_u = self.props_l[u]
         if ju > len(props_u):
-            raise SimulationInvariantError(
-                f"node {node.vid}: surplus decision from {u} (FIFO violation or duplicate delivery)"
-            )
+            raise SimulationInvariantError(f"node {node.vid}: surplus decision from {u} "
+                                           "(FIFO violation or duplicate delivery)")
         if sidx != ju:
-            raise SimulationInvariantError(
-                f"node {node.vid}: decision from {u} out of order: expected ordinal {ju}, got {sidx}"
-            )
+            raise SimulationInvariantError(f"node {node.vid}: decision from {u} out of order: "
+                                           f"expected ordinal {ju}, got {sidx}")
         hist = node.hist[k]
         hist.append(props_u[ju - 1] if accepted else hist[ju - 1])
         node.j[k] = ju + 1
@@ -439,21 +432,21 @@ class Simulation:
         # whose set for u is pinned to the known hist[idx] (idx < ju), whose edge
         # range for u is a point (within one update a live set only shrinks), or
         # whose refresh leaves what try_resolve reads as it was: its last test was
-        # undecided and would stay so. Outside paranoid, an edge-factor node then
-        # leaves node.S[k] stale: only filter-only and paranoid tests read it
-        if (node.done or (idx := node.win[k][node.i - 1]) < ju
-                or self.skip_points and node.fmin[k] == node.fmax[k]):
+        # undecided and would stay so
+        factor = self.factor
+        if node.done or (idx := node.win[k][node.i - 1]) < ju or factor is not None and node.fmin[k] == node.fmax[k]:
             return
         S = _possible_set(props_u, hist, ju + 1, idx)
-        if self.factor is None:
+        if factor is None:  # filter-only: the walk reads deduplicated sets
+            S = S if len(S) == 1 else tuple(set(S))
             if S == node.S[k]:
                 return
+            node.S[k] = S
         else:
-            lo, hi = edge_range(self.factor, node.vid, u, node.value, node.c_new, S)
-            if lo == node.fmin[k] and hi == node.fmax[k] and not self.paranoid:
+            lo, hi = edge_range(factor, node.vid, u, node.value, node.c_new, S)
+            if lo == node.fmin[k] and hi == node.fmax[k]:
                 return
             node.fmin[k], node.fmax[k] = lo, hi
-        node.S[k] = S
         self._cascade(node, vtime, (u, ju))
 
     def _advance(self, node: _Node, vtime: float) -> None:
@@ -467,10 +460,12 @@ class Simulation:
         node.i = i = node.i + 1
         c_new = node.c_new = node.proposals[i - 1]
         node.beta = node.coins[i - 1]
-        v, c, factor, props, S = node.vid, node.value, self.factor, self.props_l, node.S
+        v, c, factor, props = node.vid, node.value, self.factor, self.props_l
         for k, (u, hist, ju, win) in enumerate(zip(node.nbrs, node.hist, node.j, node.win)):
-            S[k] = s = _possible_set(props[u], hist, ju, win[i - 1])
-            if factor is not None:
+            s = _possible_set(props[u], hist, ju, win[i - 1])
+            if factor is None:
+                node.S[k] = s if len(s) == 1 else tuple(set(s))
+            else:
                 node.fmin[k], node.fmax[k] = edge_range(factor, v, u, c, c_new, s)
 
     def try_resolve(self, node: _Node) -> bool | None:
@@ -500,13 +495,14 @@ class Simulation:
                 raise SimulationInvariantError(f"empty possible-state set at node {v}, sets {node.S}")
             lo = hi = None  # no closed form
         if self.paranoid:  # outcome and closed form must match enumeration, bit for bit
-            flo, fhi = filter_range(self.model, node.vid, node.value, node.c_new, node.S)
+            sets = self._live_sets(node)
+            flo, fhi = filter_range(self.model, node.vid, node.value, node.c_new, sets)
             expected = True if beta < flo else False if beta >= fhi else None
             if res is not expected or (lo is not None and (lo, hi) != (flo, fhi)):
                 raise SimulationInvariantError(
                     f"resolution mismatch at node {node.vid}, update {node.i}: engine {res} from (min f, max f) "
                     f"{(lo, hi)}, enumeration {expected} from {(flo, fhi)}, beta {beta!r}, proposal {node.c_new}, "
-                    f"sets {node.S}"
+                    f"sets {sets}"
                 )
         return res
 
@@ -597,14 +593,15 @@ class Simulation:
             if node.info_pending:
                 lines.append(f"  node {node.vid}: still in Phase I ({node.info_pending} info pending)")
                 continue
-            # node.S may be stale (see _apply_decision), so derive each live set
-            sets = {u: sorted(_possible_set(self.props_l[u], hist, ju, win[node.i - 1]))
-                    for u, hist, ju, win in zip(node.nbrs, node.hist, node.j, node.win)}
-            lines.append(
-                f"  node {node.vid}: update {node.i}/{node.m}, beta={node.beta!r}, "
-                f"proposal={node.c_new}, j={dict(zip(node.nbrs, node.j))}, possible states {sets}"
-            )
+            sets = dict(zip(node.nbrs, self._live_sets(node)))
+            lines.append(f"  node {node.vid}: update {node.i}/{node.m}, beta={node.beta!r}, proposal={node.c_new}, "
+                         f"j={dict(zip(node.nbrs, node.j))}, possible states {sets}")
         return "\n".join(lines)
+
+    def _live_sets(self, node: _Node) -> list[list[int]]:
+        """Each slot's live set, sorted, as derived from the neighbor's known prefix."""
+        return [sorted(set(_possible_set(self.props_l[u], hist, ju, win[node.i - 1])))
+                for u, hist, ju, win in zip(node.nbrs, node.hist, node.j, node.win)]
 
     def _finalize(self) -> SimulationResult:
         stats = RunStats.derive(

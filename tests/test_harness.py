@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -545,6 +546,20 @@ class TestCli:
         assert cli.main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: [chain] {key}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("kind = cycle\nn = 6", "kind = random-regular\nn = 8\ndegree = 3\nseed = -1", "[graph] seed"),
+        ("seed = 4", "seed = -4", "[scheduler] seed"),
+    ], ids=["graph", "scheduler"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, old, new, key):
+        # numpy's own error for a negative seed names no config key
+        path = tmp_path / "seed.ini"
+        path.write_text(BASE_CONFIG.replace(old, new))
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            harness.load_config(path)
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be >= 0") and "Traceback" not in err
 
     def test_infinite_fugacity_exits_2(self, tmp_path, capsys):
         path = tmp_path / "lam.ini"

@@ -64,6 +64,16 @@ class TestPossibleStates:
         assert possible_states(s, 0, 1, 2, 1, [0]) == frozenset({0, 1, 2})  # 0 < 1: tie counts before
         assert possible_states(s, 0, 1, 3, 3, [0, 1, 1]) == frozenset({1})
 
+    def test_repeated_proposals_give_one_set(self):
+        # u = 0 proposes 3, 1, 3, 3 before node 1's update; the engine's tuple
+        # repeats states, the set does not change
+        s = make_manual(1.0, [[0.1, 0.2, 0.3, 0.4], [0.5]], proposals=[[3, 1, 3, 3], [0]], q=4)
+        assert possible_states(s, 0, 1, 1, 1, [1]) == frozenset({1, 3})
+        assert possible_states(s, 0, 1, 1, 2, [1, 1]) == frozenset({1, 3})
+        assert possible_states(s, 0, 1, 1, 3, [1, 1, 1]) == frozenset({1, 3})
+        assert possible_states(s, 0, 1, 1, 4, [1, 1, 1, 3]) == frozenset({3})
+        assert netsim._possible_set([3, 1, 3, 3], [1], 1, 4) == (1, 3, 1, 3, 3)
+
     def test_hist_length_must_match_j(self):
         with pytest.raises(ValueError, match="hist"):
             possible_states(self.SCHED, 0, 1, 2, 2, [2])
@@ -374,8 +384,8 @@ class TestEventLoopInternals:
         sim = Simulation(m, s, [0, 1, 2], SynchronousScheduler())
         with pytest.raises(SimulationInvariantError, match="unresolved"):
             sim.execute()
-        # only node 0 never resolves; decisions on point edge ranges skip its
-        # refresh and leave node.S stale, yet the dump shows the live sets
+        # only node 0 never resolves; an edge-factor node keeps only its edge
+        # ranges, never node.S, yet the dump shows the live sets
         monkeypatch.setattr(Simulation, "try_resolve", lambda self, node: None if node.vid == 0 else resolve(self, node))
         m = make_coloring(cycle_graph(4), 3)
         s = generate(m, 3.0, 5)
@@ -384,7 +394,7 @@ class TestEventLoopInternals:
             sim.execute()
         node = sim.nodes[0]
         live = {u: sorted(possible_states(s, u, 0, node.i, j, h)) for u, j, h in zip(node.nbrs, node.j, node.hist)}
-        assert any(set(S) != set(live[u]) for u, S in zip(node.nbrs, node.S))
+        assert node.S == [None] * len(node.nbrs)
         assert str(err.value).splitlines()[1].endswith(f"possible states {live}")
 
     def test_forced_resolution_on_full_knowledge(self):
@@ -468,6 +478,45 @@ class TestParanoidCheck:
         run(m, s, y0, SynchronousScheduler())  # the fault itself raises nothing
         with pytest.raises(SimulationInvariantError, match="resolution mismatch"):
             run(m, s, y0, SynchronousScheduler(), paranoid=True)
+
+    def test_repeat_heavy_windows(self, monkeypatch):
+        # q = 2 and long horizons: most windows hold a state more than once, and
+        # the edge range reads them without deduplication
+        repeats = []
+        possible_set = netsim._possible_set
+
+        def spy(*args):
+            S = possible_set(*args)
+            repeats.append(len(set(S)) < len(S))
+            return S
+
+        monkeypatch.setattr(netsim, "_possible_set", spy)
+        rng = np.random.default_rng(7)
+        for k in range(9):
+            n = int(rng.integers(3, 8))
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6])
+            m = (make_ising(g, float(rng.normal())), make_hardcore(g, 1.4), _soft_model(g))[k % 3]
+            s = generate(m, 10.0, int(rng.integers(10**6)))
+            y0 = rng.integers(0, m.q, n) if m.kind != "hardcore" else np.zeros(n, dtype=int)
+            expected = run_continuous(m, s, y0).final
+            for policy in ("adversarial-max", "uniform"):
+                res = run(m, s, y0, make_scheduler(policy, seed=k), paranoid=True)
+                assert np.array_equal(res.final, expected), (m.kind, policy)
+        assert any(repeats)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.5])
+    @pytest.mark.parametrize("paranoid", [False, True])
+    def test_bad_factor_inside_window_raises(self, bad, paranoid):
+        # node 1 proposes 2 twice and rejects both; only node 0's window for
+        # node 1 holds state 2, so the oracle never reads the bad factor
+        def factor(v, u, c, cn, b):
+            return bad if b == 2 else 0.5
+
+        m = SpinModel(path_graph(2), 3, np.full((2, 3), 1.0 / 3), edge_factor_fn=factor)
+        s = make_manual(1.0, [[0.5], [0.1, 0.2]], proposals=[[1], [2, 2]], coins=[[0.9], [0.9, 0.9]], q=3)
+        assert np.array_equal(run_continuous(m, s, [0, 0]).final, [0, 0])
+        with pytest.raises(ValueError, match=r"edge factor g\(v=0, u=1, .*b=2\)"):
+            run(m, s, [0, 0], SynchronousScheduler(), paranoid=paranoid)
 
 
 class TestFilterOnly:
