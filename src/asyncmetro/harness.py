@@ -159,8 +159,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         runs=int(e.get("runs", "1000")),
         base_dir=path.parent,
     )
-    for key, seed in (("[graph] seed", cfg.graph_seed), ("[scheduler] seed", cfg.scheduler_seed)):
-        if seed < 0:  # numpy's own error names no key
+    for key, seed in (("[graph] seed", cfg.graph_seed), ("[scheduler] seed", cfg.scheduler_seed),
+                      ("[experiment] seeds", min(cfg.seeds, default=0))):
+        if seed < 0:  # numpy's and schedule.generate's own errors name no key
             raise ConfigError(f"{key} must be >= 0, got {seed}")
     if not cfg.seeds:
         raise ConfigError("no seeds configured")

@@ -84,6 +84,7 @@ class UniformRandomScheduler(Scheduler):
 
 
 SCHEDULER_POLICIES = ("synchronous", "uniform", "adversarial-max", "fixed")
+_STREAM_ENDED = "the scheduler's delay stream of channel ({}, {}) ended before the run's messages were sent"
 
 
 def make_scheduler(policy: str, seed: int = 0, **kwargs) -> Scheduler:
@@ -141,16 +142,13 @@ def possible_states(
     if len(hist_u) != j_u:
         raise ValueError(f"hist has {len(hist_u)} entries, expected j_u = {j_u}")
     idx = int(np.searchsorted(schedule.rank[at[u] : at[u + 1]], schedule.rank[at[v] + i - 1]))
-    return frozenset(_possible_set(schedule.proposals[u].tolist(), hist_u, j_u, idx))
+    return frozenset(_possible_set([*hist_u, *schedule.proposals[u].tolist()[j_u - 1 :]], j_u, idx))
 
 
-def _possible_set(props_u, hist_u, j_u: int, idx: int) -> tuple[int, ...]:
-    """possible_states as a tuple, given idx = the count of u's updates before
-    the query and no argument checks; the engine's route. A state may repeat:
-    edge_range reads only min and max, and filter-only callers deduplicate."""
-    if idx < j_u:
-        return (hist_u[idx],)
-    return (hist_u[j_u - 1], *props_u[j_u - 1 : idx])
+def _possible_set(known: list[int], j_u: int, idx: int) -> list[int]:
+    """possible_states as a slice of u's known states (see _Node), given idx, the count of u's
+    updates before the query, and no argument checks. A state may repeat."""
+    return known[min(j_u - 1, idx) : idx + 1]
 
 
 def _check_state_sets(model: SpinModel, v: int, neighbor_states) -> list[tuple[int, ...]]:
@@ -292,9 +290,11 @@ class SimulationResult:
 
 class _Node:
     """Per-node protocol state. The lists are indexed by neighbor slot k, the
-    position in nbrs: the neighbor's known prefix length j and resolved states
-    hist (initial value first), its edge range fmin/fmax (edge-factor models) or
-    its deduplicated possible set S (filter-only models; None otherwise),
+    position in nbrs: j = 1 + the neighbor's decisions received; known, where
+    known[t] is its state after update t for t < j and its proposal for update t
+    from t = j on (known[0] is its initial value), so its live set at window bound
+    idx is known[min(j - 1, idx) : idx + 1]; its edge range fmin/fmax (edge-factor
+    models) or deduplicated live set S (filter-only models; None otherwise),
     win[k][i - 1] = its count of updates before this node's update i, rslot =
     this node's slot in its adjacency, dly and out_last = the delays and the last
     delivery of the channel to it. The node is in Phase I while info_pending,
@@ -302,18 +302,18 @@ class _Node:
 
     __slots__ = (
         "vid", "nbrs", "m", "proposals", "coins", "value", "i", "beta", "c_new",
-        "j", "hist", "fmin", "fmax", "S", "win", "rslot", "dly", "out_last", "pending", "info_pending",
+        "j", "known", "fmin", "fmax", "S", "win", "rslot", "dly", "out_last", "pending", "info_pending",
         "entry", "term", "done",
     )
 
-    def __init__(self, vid, nbrs, proposals, coins, y0, win, rslot, dly):
+    def __init__(self, vid, nbrs, proposals, coins, y0, known, win, rslot, dly):
         self.vid, self.nbrs, self.proposals, self.coins = vid, nbrs, proposals, coins
         self.m = len(proposals)
         self.value = y0[vid]
         self.i = self.c_new = 0
         self.beta = 0.0
         self.j = [1] * len(nbrs)
-        self.hist = [[y0[u]] for u in nbrs]
+        self.known = [known[u][:] for u in nbrs]
         self.fmin = [0.0] * len(nbrs)
         self.fmax = [0.0] * len(nbrs)
         self.S: list[tuple[int, ...] | None] = [None] * len(nbrs)
@@ -352,8 +352,9 @@ class Simulation:
         self.schedule = schedule
         self.paranoid = paranoid
         self.factor = model.edge_factor_fn
-        self.props_l = [p.tolist() for p in schedule.proposals]
+        props_l = [p.tolist() for p in schedule.proposals]
         coins_l = [b.tolist() for b in schedule.coins]
+        known = [[y, *p] for y, p in zip(self.y0, props_l)]
         adj, m, at = model.graph.adj, schedule.counts, schedule.starts
         slot_of = [{u: k for k, u in enumerate(a)} for a in adj]
         # ranks rise with the index within a node (its times rise), so counting u's
@@ -366,7 +367,7 @@ class Simulation:
         if len(dly) != starts[-1]:
             raise ValueError(f"scheduler gave {len(dly)} delay streams for {starts[-1]} channels")
         self.nodes = [
-            _Node(v, adj[v], self.props_l[v], coins_l[v], self.y0,
+            _Node(v, adj[v], props_l[v], coins_l[v], self.y0, known,
                   [np.searchsorted(ranks[u], ranks[v]).tolist() for u in adj[v]],
                   [slot_of[u][v] for u in adj[v]], dly[starts[v] : starts[v + 1]])
             for v in range(model.n)
@@ -394,7 +395,10 @@ class Simulation:
                 # PhaseOneInfo message lands when the last fragment does
                 t, dly = 0.0, node.dly[k]
                 for _ in range(m_u + 1):
-                    d = next(dly)
+                    try:
+                        d = next(dly)
+                    except StopIteration:
+                        raise ValueError(_STREAM_ENDED.format(u, v)) from None
                     if not 0.0 < d <= 1.0:
                         raise ValueError(f"scheduler produced delay {d!r} outside (0, 1]")
                     t += d
@@ -417,37 +421,35 @@ class Simulation:
 
     def _apply_decision(self, node: _Node, k: int, accepted: bool, sidx: int, vtime: float) -> None:
         ju = node.j[k]
-        u = node.nbrs[k]
-        props_u = self.props_l[u]
-        if ju > len(props_u):
-            raise SimulationInvariantError(f"node {node.vid}: surplus decision from {u} "
+        known = node.known[k]
+        if ju >= len(known):
+            raise SimulationInvariantError(f"node {node.vid}: surplus decision from {node.nbrs[k]} "
                                            "(FIFO violation or duplicate delivery)")
         if sidx != ju:
-            raise SimulationInvariantError(f"node {node.vid}: decision from {u} out of order: "
+            raise SimulationInvariantError(f"node {node.vid}: decision from {node.nbrs[k]} out of order: "
                                            f"expected ordinal {ju}, got {sidx}")
-        hist = node.hist[k]
-        hist.append(props_u[ju - 1] if accepted else hist[ju - 1])
+        if not accepted:  # an accept leaves the proposal known[ju] as u's state
+            known[ju] = known[ju - 1]
         node.j[k] = ju + 1
-        # terminated nodes keep folding decisions into history. So does a node
-        # whose set for u is pinned to the known hist[idx] (idx < ju), whose edge
-        # range for u is a point (within one update a live set only shrinks), or
-        # whose refresh leaves what try_resolve reads as it was: its last test was
-        # undecided and would stay so
+        # a terminated node only folds the decision in. So does a node whose set for u
+        # is pinned to known[idx] (idx < ju), whose edge range for u is a point (within
+        # one update a live set only shrinks), or whose refresh leaves what try_resolve
+        # reads as it was: its last test was undecided and would stay so
         factor = self.factor
         if node.done or (idx := node.win[k][node.i - 1]) < ju or factor is not None and node.fmin[k] == node.fmax[k]:
             return
-        S = _possible_set(props_u, hist, ju + 1, idx)
+        S = known[ju : idx + 1]
         if factor is None:  # filter-only: the walk reads deduplicated sets
-            S = S if len(S) == 1 else tuple(set(S))
+            S = tuple(S) if len(S) == 1 else tuple(set(S))
             if S == node.S[k]:
                 return
             node.S[k] = S
         else:
-            lo, hi = edge_range(factor, node.vid, u, node.value, node.c_new, S)
+            lo, hi = edge_range(factor, node.vid, node.nbrs[k], node.value, node.c_new, S)
             if lo == node.fmin[k] and hi == node.fmax[k]:
                 return
             node.fmin[k], node.fmax[k] = lo, hi
-        self._cascade(node, vtime, (u, ju))
+        self._cascade(node, vtime, tuple.__new__(UpdateId, (node.nbrs[k], ju)))
 
     def _advance(self, node: _Node, vtime: float) -> None:
         """Start the node's next update, or terminate the node after its last."""
@@ -460,13 +462,17 @@ class Simulation:
         node.i = i = node.i + 1
         c_new = node.c_new = node.proposals[i - 1]
         node.beta = node.coins[i - 1]
-        v, c, factor, props = node.vid, node.value, self.factor, self.props_l
-        for k, (u, hist, ju, win) in enumerate(zip(node.nbrs, node.hist, node.j, node.win)):
-            s = _possible_set(props[u], hist, ju, win[i - 1])
+        v, c, factor = node.vid, node.value, self.factor
+        for k, (u, known, ju, win) in enumerate(zip(node.nbrs, node.known, node.j, node.win)):
+            idx = win[i - 1]
             if factor is None:
-                node.S[k] = s if len(s) == 1 else tuple(set(s))
+                s = known[min(ju - 1, idx) : idx + 1]
+                node.S[k] = tuple(s) if len(s) == 1 else tuple(set(s))
+            elif idx < ju:  # pinned to one known state: one factor value, which edge_range refuses if not >= 0
+                x = factor(v, u, c, c_new, known[idx])
+                node.fmin[k] = node.fmax[k] = x if x >= 0.0 else edge_range(factor, v, u, c, c_new, (known[idx],))[0]
             else:
-                node.fmin[k], node.fmax[k] = edge_range(factor, v, u, c, c_new, s)
+                node.fmin[k], node.fmax[k] = edge_range(factor, v, u, c, c_new, known[ju - 1 : idx + 1])
 
     def try_resolve(self, node: _Node) -> bool | None:
         """Test the two resolution conditions, accept first; None = undecided."""
@@ -506,7 +512,7 @@ class Simulation:
                 )
         return res
 
-    def _cascade(self, node: _Node, vtime: float, trigger: tuple[int, int] | None) -> None:
+    def _cascade(self, node: _Node, vtime: float, trigger: UpdateId | None) -> None:
         while True:
             res = self.try_resolve(node)
             if res is None:
@@ -520,14 +526,17 @@ class Simulation:
         i = node.i
         if accepted:
             node.value = node.proposals[i - 1]
-        tid = UpdateId(*trigger) if trigger is not None else None
-        self.resolutions.append(Resolution(node.vid, i, accepted, vtime, tid))
+        # tuple.__new__ skips the namedtuple's Python-level __new__
+        self.resolutions.append(tuple.__new__(Resolution, (node.vid, i, accepted, vtime, trigger)))
         if self.trace is not None:
-            self.trace.append((vtime, "resolve", -1, node.vid, i, accepted, tid))
+            self.trace.append((vtime, "resolve", -1, node.vid, i, accepted, trigger))
         # the decision on update i is the i-th on each channel, so i is its sequence number
         src, last, dly, buckets = node.vid, node.out_last, node.dly, self.buckets
         for k, dst in enumerate(node.nbrs):
-            d = next(dly[k])
+            try:
+                d = next(dly[k])
+            except StopIteration:  # from Python 3.11 a try costs nothing until it raises
+                raise ValueError(_STREAM_ENDED.format(src, dst)) from None
             if not 0.0 < d <= 1.0:
                 raise ValueError(f"scheduler produced delay {d!r} outside (0, 1]")
             deliver = vtime + d
@@ -538,12 +547,13 @@ class Simulation:
                 # unit, and the receiver's pending queue then absorbs the delay.
                 deliver = last[k]
             last[k] = deliver
-            bucket = buckets.setdefault(deliver, [])
-            bucket.append((src, dst, i, accepted, node.rslot[k]))
-            if deliver == vtime:  # the bucket being drained: its least entry goes last
-                bucket.sort(reverse=True)
-            elif len(bucket) == 1:
+            if (bucket := buckets.get(deliver)) is None:
+                buckets[deliver] = [(src, dst, i, accepted, node.rslot[k])]
                 heappush(self.times, deliver)
+            else:
+                bucket.append((src, dst, i, accepted, node.rslot[k]))
+                if deliver == vtime:  # the bucket being drained: its least entry goes last
+                    bucket.sort(reverse=True)
         self.decision_messages += len(node.nbrs)
         self._advance(node, vtime)
 
@@ -599,9 +609,9 @@ class Simulation:
         return "\n".join(lines)
 
     def _live_sets(self, node: _Node) -> list[list[int]]:
-        """Each slot's live set, sorted, as derived from the neighbor's known prefix."""
-        return [sorted(set(_possible_set(self.props_l[u], hist, ju, win[node.i - 1])))
-                for u, hist, ju, win in zip(node.nbrs, node.hist, node.j, node.win)]
+        """Each slot's live set, sorted, as derived from the neighbor's known states."""
+        return [sorted(set(_possible_set(known, ju, win[node.i - 1])))
+                for known, ju, win in zip(node.known, node.j, node.win)]
 
     def _finalize(self) -> SimulationResult:
         stats = RunStats.derive(

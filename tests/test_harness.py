@@ -550,9 +550,11 @@ class TestCli:
     @pytest.mark.parametrize("old, new, key", [
         ("kind = cycle\nn = 6", "kind = random-regular\nn = 8\ndegree = 3\nseed = -1", "[graph] seed"),
         ("seed = 4", "seed = -4", "[scheduler] seed"),
-    ], ids=["graph", "scheduler"])
+        ("seeds = 1:5", "seeds = -3:-1", "[experiment] seeds"),
+    ], ids=["graph", "scheduler", "experiment"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, old, new, key):
-        # numpy's own error for a negative seed names no config key
+        # numpy's and schedule.generate's own errors name no config key, and the
+        # latter printed as a run error
         path = tmp_path / "seed.ini"
         path.write_text(BASE_CONFIG.replace(old, new))
         with pytest.raises(ConfigError, match=re.escape(key)):

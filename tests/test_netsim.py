@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ class TestPossibleStates:
         assert possible_states(s, 0, 1, 1, 2, [1, 1]) == frozenset({1, 3})
         assert possible_states(s, 0, 1, 1, 3, [1, 1, 1]) == frozenset({1, 3})
         assert possible_states(s, 0, 1, 1, 4, [1, 1, 1, 3]) == frozenset({3})
-        assert netsim._possible_set([3, 1, 3, 3], [1], 1, 4) == (1, 3, 1, 3, 3)
+        assert netsim._possible_set([1, 3, 1, 3, 3], 1, 4) == [1, 3, 1, 3, 3]
 
     def test_hist_length_must_match_j(self):
         with pytest.raises(ValueError, match="hist"):
@@ -355,9 +356,19 @@ class TestEventLoopInternals:
         sim = Simulation(m, s, [0, 1], SynchronousScheduler())
         result = sim.execute()
         assert result.final.tolist() == [2, 1]
-        # j and hist are indexed by neighbor slot; node 0 is node 1's slot 0
+        # j and known are indexed by neighbor slot; node 0 is node 1's slot 0
         assert sim.nodes[1].j[0] == 2  # exactly one increment
-        assert sim.nodes[1].hist[0] == [0, 2]
+        assert sim.nodes[1].known[0][:2] == [0, 2]
+
+    def test_reject_writes_the_previous_state(self):
+        # node 0 proposes node 1's color, which coloring always rejects
+        m = make_coloring(path_graph(2), 4)
+        s = make_manual(1.0, [[0.3], []], proposals=[[1], []], coins=[[0.0], []], q=4)
+        sim = Simulation(m, s, [0, 1], SynchronousScheduler())
+        assert sim.nodes[1].known[0] == [0, 1]  # the proposal, until a decision arrives
+        assert sim.execute().final.tolist() == [0, 1]
+        assert sim.nodes[1].j[0] == 2
+        assert sim.nodes[1].known[0][1] == sim.nodes[1].known[0][0] == 0
 
     def test_out_of_order_decision_detected(self):
         m = make_coloring(path_graph(2), 3)
@@ -393,7 +404,8 @@ class TestEventLoopInternals:
         with pytest.raises(SimulationInvariantError, match="unresolved") as err:
             sim.execute()
         node = sim.nodes[0]
-        live = {u: sorted(possible_states(s, u, 0, node.i, j, h)) for u, j, h in zip(node.nbrs, node.j, node.hist)}
+        live = {u: sorted(possible_states(s, u, 0, node.i, j, known[:j]))
+                for u, j, known in zip(node.nbrs, node.j, node.known)}
         assert node.S == [None] * len(node.nbrs)
         assert str(err.value).splitlines()[1].endswith(f"possible states {live}")
 
@@ -483,14 +495,13 @@ class TestParanoidCheck:
         # q = 2 and long horizons: most windows hold a state more than once, and
         # the edge range reads them without deduplication
         repeats = []
-        possible_set = netsim._possible_set
+        edge_range = netsim.edge_range
 
-        def spy(*args):
-            S = possible_set(*args)
+        def spy(factor, v, u, c, c_new, S):
             repeats.append(len(set(S)) < len(S))
-            return S
+            return edge_range(factor, v, u, c, c_new, S)
 
-        monkeypatch.setattr(netsim, "_possible_set", spy)
+        monkeypatch.setattr(netsim, "edge_range", spy)
         rng = np.random.default_rng(7)
         for k in range(9):
             n = int(rng.integers(3, 8))
@@ -517,6 +528,47 @@ class TestParanoidCheck:
         assert np.array_equal(run_continuous(m, s, [0, 0]).final, [0, 0])
         with pytest.raises(ValueError, match=r"edge factor g\(v=0, u=1, .*b=2\)"):
             run(m, s, [0, 0], SynchronousScheduler(), paranoid=paranoid)
+
+
+class TestKnownStates:
+    def test_receiver_view_matches_oracle(self, monkeypatch):
+        # at every resolution test, each slot's known states are the neighbor's
+        # history as the sequential chain made it, then its own proposals, and the
+        # live slice is possible_states of that history: paranoid derives its
+        # sets from the known lists, so only the oracle can show a wrong fold
+        resolve, history, tests = Simulation.try_resolve, [], []
+
+        def checked(sim, node):
+            s, v, i = sim.schedule, node.vid, node.i
+            for u, known, j, win in zip(node.nbrs, node.known, node.j, node.win):
+                assert known[:j] == history[u][:j], (v, u, j)
+                assert known[j:] == s.proposals[u].tolist()[j - 1 :], (v, u, j)
+                live = set(known[min(j - 1, win[i - 1]) : win[i - 1] + 1])
+                assert live == possible_states(s, u, v, i, j, history[u][:j]), (v, u, i, j)
+            tests.append(v)
+            return resolve(sim, node)
+
+        monkeypatch.setattr(Simulation, "try_resolve", checked)
+        rng = np.random.default_rng(15)
+        early = 0  # decisions that land while their receiver is in Phase I
+        for k in range(100):
+            n = int(rng.integers(2, 8))
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6])
+            m = (make_coloring(g, int(rng.integers(2, 5))), make_hardcore(g, 1.2), make_ising(g, float(rng.normal())),
+                 _soft_model(g), SpinModel(g, 3, np.full((n, 3), 1.0 / 3), filter_fn=_soft_filter))[k % 5]
+            y0 = rng.integers(0, m.q, n) if m.kind != "hardcore" else np.zeros(n, dtype=int)
+            s = generate(m, float(rng.uniform(1.0, 5.0)), int(rng.integers(10**6)))
+            oracle = run_continuous(m, s, y0)
+            history[:] = [[int(y)] for y in y0]
+            for pos, state in zip(s.order.tolist(), oracle.states):
+                history[s.update_at(pos).node].append(state)
+            table = {(u, v): float(rng.choice([1e-3, 0.05, 1.0])) for a, b in g.edges() for u, v in ((a, b), (b, a))}
+            for sch in (SynchronousScheduler(), make_scheduler("uniform", seed=k), FixedDelayScheduler(table=table)):
+                res = run(m, s, y0, sch, collect_trace=True)
+                assert np.array_equal(res.final, oracle.final), (k, m.kind)
+                entry = res.stats.entry_times
+                early += sum(e[1] == "dec" and e[0] < entry[e[3]] for e in res.trace)
+        assert tests and early > 0
 
 
 class TestFilterOnly:
@@ -864,6 +916,22 @@ class TestSchedulers:
         its = sch.channels([(0, 1), (1, 0)], 4)
         assert [next(its[0]), next(its[0])] == [0.25, 0.25]
         assert [next(its[1]), next(its[1])] == [0.5, 0.5]
+
+    @pytest.mark.parametrize("lengths, channel", [
+        ({(0, 1): 3, (1, 0): 2}, "(1, 0)"),  # ends within node 1's three Phase-I fragments
+        ({(0, 1): 2, (1, 0): 5}, "(0, 1)"),  # ends at node 0's decision
+    ], ids=["phase1", "decision"])
+    def test_stream_that_ends_early(self, lengths, channel):
+        # a bare StopIteration named neither the scheduler nor the channel
+        class Short(Scheduler):
+            def channels(self, pairs, count):
+                return [itertools.repeat(0.5, lengths[pair]) for pair in pairs]
+
+        m = make_coloring(path_graph(2), 3)
+        s = make_manual(1.0, [[0.5], [0.2, 0.6]], proposals=[[2], [2, 0]], q=3)
+        with pytest.raises(ValueError, match=re.escape(f"delay stream of channel {channel} ended before the run's "
+                                                       "messages were sent")):
+            run(m, s, [0, 1], Short())
 
     def test_one_stream_per_channel_required(self):
         class Short(Scheduler):
