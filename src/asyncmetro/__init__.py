@@ -18,7 +18,7 @@ from .graphs import (
     star_graph,
 )
 from .models import SpinModel, lipschitz_bound, make_coloring, make_hardcore, make_ising
-from .schedule import UpdateId, UpdateSchedule, generate, generate_steps, total_order
+from .schedule import UpdateId, UpdateSchedule, generate, generate_steps
 from .oracle import ContinuousRun, exact_distribution, run_continuous, run_discrete, total_variation
 from .netsim import (
     FixedDelayScheduler,
@@ -36,12 +36,6 @@ from .netsim import (
     run,
     thresholds,
 )
-from .instrument import (
-    ResidenceReport,
-    chain_lengths,
-    chain_of,
-    phase2_residence,
-    record_trigger,
-)
+from .instrument import ResidenceReport, chain_lengths, phase2_residence
 
 __version__ = "0.1.0"

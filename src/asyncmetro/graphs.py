@@ -7,6 +7,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+_PAIRING_TRIES = 5000  # pairings random_regular_graph draws before it gives up
+
 
 class Graph:
     """Undirected simple graph on nodes 0..n-1.
@@ -98,7 +100,7 @@ def star_graph(leaves: int) -> Graph:
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
-def random_regular_graph(n: int, degree: int, seed: int, max_tries: int = 5000) -> Graph:
+def random_regular_graph(n: int, degree: int, seed: int) -> Graph:
     """Uniform random simple d-regular graph via the pairing model with rejection."""
     if degree < 0 or degree >= n:
         raise ValueError(f"degree must satisfy 0 <= d < n, got d={degree}, n={n}")
@@ -108,7 +110,7 @@ def random_regular_graph(n: int, degree: int, seed: int, max_tries: int = 5000) 
         return Graph(n)
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), degree)
-    for _ in range(max_tries):
+    for _ in range(_PAIRING_TRIES):
         perm = rng.permutation(stubs)
         a, b = perm[0::2], perm[1::2]
         if np.any(a == b):
@@ -120,15 +122,12 @@ def random_regular_graph(n: int, degree: int, seed: int, max_tries: int = 5000) 
             continue
         return Graph(n, zip(lo.tolist(), hi.tolist()))
     # the pairing model rarely yields a simple graph when degree is close to n
-    raise ValueError(f"no simple {degree}-regular pairing on {n} nodes found in {max_tries} tries")
+    raise ValueError(f"no simple {degree}-regular pairing on {n} nodes found in {_PAIRING_TRIES} tries")
 
 
-def read_edge_list(path: str | Path, n: int | None = None) -> Graph:
-    """Parse an edge-list file: one 0-indexed "u v" pair per line.
-
-    Blank lines and lines starting with '#' are skipped. When n is omitted it
-    is inferred as max node id + 1.
-    """
+def read_edge_list(path: str | Path) -> Graph:
+    """Parse an edge-list file: one 0-indexed "u v" pair per line, on nodes
+    0..max node id. Blank lines and lines starting with '#' are skipped."""
     edges = []
     top = -1
     with open(path) as fh:
@@ -142,6 +141,4 @@ def read_edge_list(path: str | Path, n: int | None = None) -> Graph:
             u, v = int(parts[0]), int(parts[1])
             edges.append((u, v))
             top = max(top, u, v)
-    if n is None:
-        n = top + 1
-    return Graph(n, edges)
+    return Graph(top + 1, edges)

@@ -132,9 +132,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for p in policies:
         if p not in netsim.SCHEDULER_POLICIES:
             raise ConfigError(f"unknown scheduler policy {p!r}")
-        if p == "fixed":
-            raise ConfigError("scheduler policy 'fixed' needs a per-channel delay table, which a config "
-                              "cannot set; use netsim.make_scheduler('fixed', table=...) from Python")
 
     cfg = ExperimentConfig(
         model_kind=kind,
@@ -262,16 +259,42 @@ def run_one(
     return result, report, model
 
 
+CSV_FIELDS = ("seed", "scheduler", "n", "max_degree", "model", "param", "T", "makespan", "phase1_end",
+              "max_residence", "max_chain_length", "messages", "bits")
+SWEEP_FIELDS = ("n", "seed", "makespan", "phase1_end", "max_residence", "max_chain_length", "messages", "bits")
+
+
+def run_csv_row(seed: int, scheduler: str, model: SpinModel, result: netsim.SimulationResult,
+                report: instrument.ResidenceReport) -> tuple:
+    """One run's values in CSV_FIELDS order; the floats are Python floats, which write_csv reprs."""
+    if model.kind == "hardcore":
+        param = f"lam={model.params['lam']!r}"
+    elif model.kind == "ising":
+        param = f"beta={model.params['beta']!r}"
+    else:
+        param = f"q={model.q}"
+    st = result.stats
+    return (seed, scheduler, model.n, model.graph.max_degree, model.kind, param, result.schedule.T,
+            st.makespan, st.phase1_end, report.max_residence, report.max_chain_length, st.message_count,
+            st.total_bits)
+
+
+def write_csv(rows: list[tuple], fh: IO[str]) -> None:
+    """One comma-separated line per row: floats by repr, everything else by str."""
+    for row in rows:
+        fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
+
+
 def cmd_run(cfg: ExperimentConfig, out: IO[str], finals_out: IO[str] | None = None) -> int:
     cell = build_cell(cfg)
     rows, finals = [], []
     for seed in cfg.seeds:
         for policy in cfg.scheduler_policies:
             result, report, model = run_one(cfg, seed, policy, cell=cell)
-            rows.append(instrument.run_csv_row(seed, policy, model, result.schedule.T, result, report))
+            rows.append(run_csv_row(seed, policy, model, result, report))
             finals.append((seed, policy, result.final.tolist()))
-    rows.sort(key=lambda r: (r["seed"], r["scheduler"]))
-    instrument.write_csv(rows, out)
+    rows.sort(key=lambda r: r[:2])  # (seed, scheduler)
+    write_csv([CSV_FIELDS, *rows], out)
     if finals_out is not None:
         for seed, policy, config in sorted(finals):
             finals_out.write(f"{seed} {policy} {' '.join(map(str, config))}\n")
@@ -308,10 +331,10 @@ def _tv_cell(args) -> tuple[int, ...]:
     return tuple(int(x) for x in result.final)
 
 
-def empirical_tv(cfg: ExperimentConfig, runs: int | None = None, workers: int | None = None) -> tuple[float, int]:
-    """TV distance between simulated final configurations over fresh seeds and
-    the exhaustive distribution."""
-    runs = runs if runs is not None else cfg.runs
+def empirical_tv(cfg: ExperimentConfig) -> float:
+    """TV distance between the final configurations of cfg.runs runs, over fresh
+    seeds, and the exhaustive distribution."""
+    runs = cfg.runs
     if runs < 1:
         raise ConfigError(f"need at least one run, got {runs}")
     model = build_model(cfg, build_graph(cfg))
@@ -319,15 +342,15 @@ def empirical_tv(cfg: ExperimentConfig, runs: int | None = None, workers: int | 
         raise ConfigError(f"state space too large for exact comparison: {model.q}^{model.n}")
     exact = oracle.exact_distribution(model)
     seeds = [cfg.seeds[0] + k for k in range(runs)]
-    counts = Counter(_map_cells(_tv_cell, [(cfg, s) for s in seeds], workers, chunksize=64))
+    counts = Counter(_map_cells(_tv_cell, [(cfg, s) for s in seeds], chunksize=64))
     empirical = {k: c / runs for k, c in counts.items()}
-    return oracle.total_variation(empirical, exact), runs
+    return oracle.total_variation(empirical, exact)
 
 
 def cmd_tv_test(cfg: ExperimentConfig, out: IO[str]) -> int:
-    tv, runs = empirical_tv(cfg)
+    tv = empirical_tv(cfg)
     length = f"T={cfg.T!r}" if cfg.steps_per_node is None else f"steps_per_node={cfg.steps_per_node!r}"
-    out.write(f"tv_distance={tv!r} runs={runs} {length}\n")
+    out.write(f"tv_distance={tv!r} runs={cfg.runs} {length}\n")
     if cfg.T == 0 or (cfg.steps_per_node is not None and round(cfg.steps_per_node * build_graph(cfg).n) == 0):
         out.write("zero updates per run: reported distance is between the initial point mass and the target\n")
     return 0
@@ -354,9 +377,9 @@ def worker_count() -> int:
     return int(raw)
 
 
-def _map_cells(fn, cells: list, workers: int | None, chunksize: int) -> list:
-    """fn over every cell; in a process pool, unordered, when workers > 1."""
-    workers = workers if workers is not None else worker_count()
+def _map_cells(fn, cells: list, chunksize: int) -> list:
+    """fn over every cell; in a process pool, unordered, when worker_count() > 1."""
+    workers = worker_count()
     if workers > 1:
         with Pool(workers) as pool:
             return list(pool.imap_unordered(fn, cells, chunksize=chunksize))
@@ -381,11 +404,11 @@ class SweepSummary:
     growth_ratios: list[float]      # consecutive per-n mean max-residence ratios
 
 
-def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> tuple[list[tuple], SweepSummary]:
+def run_sweep(cfg: ExperimentConfig) -> tuple[list[tuple], SweepSummary]:
     if len(set(cfg.n_grid)) < max(2, len(cfg.n_grid)):
         raise ConfigError(f"[experiment] sweep needs an n_grid of two or more distinct sizes, got {cfg.n_grid}")
     cells = [(cfg, n, seed) for n in cfg.n_grid for seed in cfg.seeds]
-    raw = sorted(_map_cells(_sweep_cell, cells, workers, chunksize=1))
+    raw = sorted(_map_cells(_sweep_cell, cells, chunksize=1))
     per_n: dict[int, dict] = {}
     for n in cfg.n_grid:
         rows = [r for r in raw if r[0] == n]
@@ -411,14 +434,9 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> tuple[list[t
     return raw, SweepSummary(per_n, a, b, r2, resid, ratios)
 
 
-SWEEP_FIELDS = ("n", "seed", "makespan", "phase1_end", "max_residence", "max_chain_length", "messages", "bits")
-
-
 def cmd_sweep(cfg: ExperimentConfig, out: IO[str]) -> int:
     raw, summary = run_sweep(cfg)
-    out.write(",".join(SWEEP_FIELDS) + "\n")
-    for row in raw:
-        out.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
+    write_csv([SWEEP_FIELDS, *raw], out)
     out.write(f"# fit max_residence ~ {summary.fit_intercept!r} + {summary.fit_slope!r}*ln(n), "
               f"R2={summary.fit_r2!r}\n")
     out.write(f"# residuals: {' '.join(repr(r) for r in summary.residuals)}\n")

@@ -8,28 +8,11 @@ live node state, so instrumenting a run cannot perturb the protocol. Chain
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
-from .netsim import Resolution, SimulationInvariantError, SimulationResult
-from .schedule import UpdateId, UpdateSchedule
-
-
-def _predecessor(res: Resolution) -> tuple[int, int] | None:
-    """(node, index) of the update before res on its chain: its trigger, else its node's previous update."""
-    if res.trigger is not None:
-        return res.trigger
-    return (res.node, res.index - 1) if res.index > 1 else None
-
-
-def _check_precedes(schedule: UpdateSchedule, earlier: list[int], later: list[int]) -> None:
-    """Raise unless the update at position earlier[k] precedes the one at later[k], for every k."""
-    rank = schedule.rank
-    bad = np.flatnonzero(rank[np.array(earlier, dtype=np.intp)] >= rank[np.array(later, dtype=np.intp)])
-    if len(bad):
-        first, second = schedule.update_at(earlier[bad[0]]), schedule.update_at(later[bad[0]])
-        raise SimulationInvariantError(f"trigger {first} does not precede {second} in the (time, node) order")
+from .netsim import SimulationInvariantError, SimulationResult
+from .schedule import UpdateId
 
 
 def chain_lengths(result: SimulationResult) -> np.ndarray:
@@ -51,11 +34,14 @@ def chain_lengths(result: SimulationResult) -> np.ndarray:
         pos = starts[v] + i - 1
         if lengths[pos]:
             raise SimulationInvariantError(f"update {UpdateId(v, i)} resolved twice")
-        pred = _predecessor(res)
-        if pred is None:
+        # the update before on the chain: the trigger, else the node's previous update
+        if res.trigger is not None:
+            u, k = res.trigger
+        elif i > 1:
+            u, k = v, i - 1
+        else:
             lengths[pos] = 1
             continue
-        u, k = pred
         # an unscheduled predecessor reads the still empty entry of pos
         ppos = starts[u] + k - 1 if 0 <= u < n and 0 < k <= counts[u] else pos
         if not lengths[ppos]:
@@ -68,42 +54,12 @@ def chain_lengths(result: SimulationResult) -> np.ndarray:
             later.append(pos)
     if 0 in lengths:
         raise SimulationInvariantError("update (%d,%d) missing from the trace" % schedule.update_at(lengths.index(0)))
-    _check_precedes(schedule, earlier, later)
+    rank = schedule.rank
+    bad = np.flatnonzero(rank[np.array(earlier, dtype=np.intp)] >= rank[np.array(later, dtype=np.intp)])
+    if len(bad):
+        first, second = schedule.update_at(earlier[bad[0]]), schedule.update_at(later[bad[0]])
+        raise SimulationInvariantError(f"trigger {first} does not precede {second} in the (time, node) order")
     return np.array(lengths, dtype=np.int64)
-
-
-def record_trigger(result: SimulationResult) -> dict[UpdateId, Resolution]:
-    """Resolution record of every update, keyed by update, after the checks of chain_lengths."""
-    chain_lengths(result)
-    return {UpdateId(res.node, res.index): res for res in result.resolutions}
-
-
-def chain_of(
-    records: dict[UpdateId, Resolution],
-    target: UpdateId,
-    schedule: UpdateSchedule | None = None,
-) -> list[UpdateId]:
-    """Dependency chain ending at target.
-
-    Walks the recursion backwards: a triggered resolution prepends the
-    trigger's chain; a self-triggered one prepends the node's previous update,
-    terminating at a self-triggered first update. When a schedule is given the
-    chain's strict (time, node) monotonicity is asserted.
-    """
-    if target not in records:
-        raise KeyError(f"no record for update {target}")
-    seq: list[UpdateId] = []
-    cur: tuple[int, int] | None = target
-    while cur is not None:
-        if len(seq) > len(records):
-            raise SimulationInvariantError(f"dependency chain at {target} has a cycle")
-        seq.append(UpdateId(*cur))
-        cur = _predecessor(records[cur])
-    seq.reverse()
-    if schedule is not None:
-        pos = [schedule.starts[v] + i - 1 for v, i in seq]
-        _check_precedes(schedule, pos[:-1], pos[1:])
-    return seq
 
 
 @dataclass
@@ -140,47 +96,3 @@ def phase2_residence(result: SimulationResult, verify: bool = True) -> Residence
         max_residence=float(residence.max(initial=0.0)),  # R_v >= 0
         max_chain_length=int(chain_len.max(initial=0)),
     )
-
-
-# ---------------------------------------------------------------------------
-# CSV emission
-
-CSV_FIELDS = ("seed", "scheduler", "n", "max_degree", "model", "param", "T", "makespan", "phase1_end",
-              "max_residence", "max_chain_length", "messages", "bits")
-
-
-def run_csv_row(
-    seed: int,
-    scheduler: str,
-    model,
-    T: float,
-    result: SimulationResult,
-    report: ResidenceReport,
-) -> dict:
-    if model.kind == "hardcore":
-        param = f"lam={model.params['lam']!r}"
-    elif model.kind == "ising":
-        param = f"beta={model.params['beta']!r}"
-    else:
-        param = f"q={model.q}"
-    return {
-        "seed": seed,
-        "scheduler": scheduler,
-        "n": model.n,
-        "max_degree": model.graph.max_degree,
-        "model": model.kind,
-        "param": param,
-        "T": repr(float(T)),
-        "makespan": repr(result.stats.makespan),
-        "phase1_end": repr(result.stats.phase1_end),
-        "max_residence": repr(report.max_residence),
-        "max_chain_length": report.max_chain_length,
-        "messages": result.stats.message_count,
-        "bits": result.stats.total_bits,
-    }
-
-
-def write_csv(rows: list[dict], fh: IO[str]) -> None:
-    fh.write(",".join(CSV_FIELDS) + "\n")
-    for row in rows:
-        fh.write(",".join(str(row[k]) for k in CSV_FIELDS) + "\n")

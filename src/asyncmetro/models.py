@@ -184,46 +184,28 @@ def make_ising(graph: Graph, beta: float) -> SpinModel:
     return SpinModel(graph, 2, proposals, edge_factor_fn=factor, kind="ising", params={"beta": beta})
 
 
-def lipschitz_bound(model: SpinModel, method: str = "auto") -> float:
+def lipschitz_bound(model: SpinModel) -> float:
     """Scaled Lipschitz constant of the Metropolis filters.
 
     Returns C_hat = Delta * max over directed edges (u, v) and states a, b, c of
     E_{c' ~ nu_v}[ max_{sigma, tau agree off u, sigma_u=a, tau_u=b} |f(sigma) - f(tau)| ].
     Filters satisfy the chain's Lipschitz condition with any C >= C_hat.
 
-    method: "closed-form" (built-in models only), "exact" (enumeration, guarded
-    by q^(max_degree-1) <= 1e6), or "auto" (closed form when available).
-
-    The built-in closed forms are 2*Delta/q (coloring, q >= 2),
+    The built-in kinds take their closed forms: 2*Delta/q (coloring, q >= 2),
     Delta*lam/(1+lam) (hardcore), and Delta*(1-exp(-2|beta|)) (Ising). The
     first two match exact enumeration; the Ising form is the conventional
-    translation constant and upper-bounds the exact value by at most 2x.
+    translation constant and upper-bounds the exact value by at most 2x. Other
+    models take the enumeration, guarded by q^(max_degree-1) <= 1e6.
     """
-    if method == "auto":
-        try:
-            return _lipschitz_closed_form(model)
-        except ValueError:
-            return _lipschitz_exact(model)
-    if method == "closed-form":
-        return _lipschitz_closed_form(model)
-    if method == "exact":
-        return _lipschitz_exact(model)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _lipschitz_closed_form(model: SpinModel) -> float:
     d = model.graph.max_degree
-    if d == 0:
-        return 0.0
     if model.kind == "coloring":
         return 0.0 if model.q < 2 else 2.0 * d / model.q
     if model.kind == "hardcore":
         lam = model.params["lam"]
         return d * lam / (1.0 + lam)
     if model.kind == "ising":
-        beta = model.params["beta"]
-        return d * (1.0 - math.exp(-2.0 * abs(beta)))
-    raise ValueError(f"no closed form for model kind {model.kind!r}")
+        return d * (1.0 - math.exp(-2.0 * abs(model.params["beta"])))
+    return _lipschitz_exact(model)
 
 
 def _lipschitz_exact(model: SpinModel) -> float:

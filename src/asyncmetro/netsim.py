@@ -59,6 +59,11 @@ class FixedDelayScheduler(Scheduler):
         self.table = dict(table or {})
 
     def channels(self, pairs, count):
+        if self.table:
+            run_channels = set(pairs)
+            for key in self.table:
+                if key not in run_channels:
+                    raise ValueError(f"delay table key {key!r} is not a channel (src, dst) of the run")
         return [itertools.repeat(self.table.get(pair, self.default)) for pair in pairs]
 
 
@@ -83,18 +88,16 @@ class UniformRandomScheduler(Scheduler):
         return [block] * len(pairs)
 
 
-SCHEDULER_POLICIES = ("synchronous", "uniform", "adversarial-max", "fixed")
+SCHEDULER_POLICIES = ("synchronous", "uniform", "adversarial-max")
 _STREAM_ENDED = "the scheduler's delay stream of channel ({}, {}) ended before the run's messages were sent"
 
 
-def make_scheduler(policy: str, seed: int = 0, **kwargs) -> Scheduler:
+def make_scheduler(policy: str, seed: int = 0) -> Scheduler:
     if policy in ("synchronous", "adversarial-max"):
         # every delay at the maximum of one unit is also the max-delay adversary
         return SynchronousScheduler()
     if policy == "uniform":
         return UniformRandomScheduler(seed)
-    if policy == "fixed":
-        return FixedDelayScheduler(**kwargs)
     raise ValueError(f"unknown scheduler policy {policy!r}; expected one of {SCHEDULER_POLICIES}")
 
 

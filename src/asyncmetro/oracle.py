@@ -66,20 +66,10 @@ def run_continuous(model: SpinModel, schedule: UpdateSchedule, y0: Sequence[int]
     return ContinuousRun(np.asarray(cur, dtype=np.int64), schedule, states)
 
 
-def run_discrete(model: SpinModel, n_steps: int, seed: int, x0: Sequence[int],
-                 observer: Callable[[int, list[int]], None] | None = None) -> np.ndarray:
+def run_discrete(model: SpinModel, n_steps: int, seed: int, x0: Sequence[int]) -> np.ndarray:
     """The n_steps-step discrete single-site Metropolis chain: run_continuous on
-    generate_steps(model, n_steps, seed). observer(step, config) sees the state
-    after each step, one list updated in place. ValueError on f outside [0, 1]."""
-    sch = generate_steps(model, n_steps, seed)
-    run = run_continuous(model, sch, x0)
-    if observer is not None:
-        cur = model.check_configuration(x0)
-        nodes = np.repeat(np.arange(sch.n), sch.counts)[sch.order].tolist()
-        for step, (v, state) in enumerate(zip(nodes, run.states), start=1):
-            cur[v] = state
-            observer(step, cur)
-    return run.final
+    generate_steps(model, n_steps, seed). ValueError on f outside [0, 1]."""
+    return run_continuous(model, generate_steps(model, n_steps, seed), x0).final
 
 
 def default_weight(model: SpinModel) -> Callable[[Sequence[int]], float]:
@@ -101,28 +91,22 @@ def default_weight(model: SpinModel) -> Callable[[Sequence[int]], float]:
         def weight(config):
             return math.exp(beta * sum(_SPIN[config[u]] * _SPIN[config[v]] for u, v in edges))
         return weight
-    raise ValueError(f"no default weight for model kind {model.kind!r}; pass one explicitly")
+    raise ValueError(f"no stationary weight for model kind {model.kind!r}")
 
 
-def exact_distribution(
-    model: SpinModel, weight: Callable[[Sequence[int]], float] | None = None
-) -> dict[tuple[int, ...], float]:
-    """Exhaustive normalized distribution over [q]^V; zero-mass states are omitted.
-
-    Guarded by q^n <= 1e6.
+def exact_distribution(model: SpinModel) -> dict[tuple[int, ...], float]:
+    """Exhaustive normalized distribution over [q]^V of a built-in model kind;
+    zero-mass states are omitted. Guarded by q^n <= 1e6.
     """
     if model.q ** model.n > _EXACT_TABLE_LIMIT:
         raise ValueError(
             f"state space too large: {model.q}^{model.n} exceeds {_EXACT_TABLE_LIMIT}"
         )
-    if weight is None:
-        weight = default_weight(model)
+    weight = default_weight(model)
     table: dict[tuple[int, ...], float] = {}
     z = 0.0
     for config in itertools.product(range(model.q), repeat=model.n):
-        w = weight(config)
-        if w < 0.0:
-            raise ValueError(f"negative weight {w!r} at {config}")
+        w = weight(config)  # >= 0 for every built-in kind
         if w > 0.0:
             table[config] = w
             z += w

@@ -166,11 +166,6 @@ def draw_proposals(cdf, coins, q: int):
     return np.minimum(np.searchsorted(cdf, coins, side="right"), q - 1)
 
 
-def total_order(schedule: UpdateSchedule) -> list[UpdateId]:
-    """All updates sorted by the strict total order (time, node, index)."""
-    return [schedule.update_at(pos) for pos in schedule.order.tolist()]
-
-
 def dump(schedule: UpdateSchedule, fh: IO[str]) -> None:
     """Line-oriented text form: header "n T seed", then "node index time proposal coin"."""
     fh.write(f"{schedule.n} {schedule.T!r} {schedule.seed}\n")

@@ -1,5 +1,6 @@
 """Config parsing, CLI commands, reproducibility, and exit codes."""
 
+import dataclasses
 import io
 import math
 import os
@@ -11,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asyncmetro import cli, harness, netsim, oracle
+from asyncmetro import SynchronousScheduler, cli, harness, netsim, oracle, phase2_residence, run
 from asyncmetro import schedule as sched_mod
 from asyncmetro.harness import ConfigError
+from tests.test_instrument import alternating_fixture
 
 BASE_CONFIG = """\
 [model]
@@ -236,7 +238,7 @@ class TestCommands:
         path.write_text(BASE_CONFIG.replace("n = 6", "n = 64").replace("kind = cycle", "kind = cycle"))
         cfg = harness.load_config(path)
         with pytest.raises(ConfigError, match="too large"):
-            harness.empirical_tv(cfg, runs=1)
+            harness.empirical_tv(cfg)
 
     def test_tv_at_zero_horizon_is_point_mass_distance(self, tmp_path):
         path = tmp_path / "tv0.ini"
@@ -248,7 +250,7 @@ class TestCommands:
             "[experiment]\nseeds = 1:1\nruns = 50\n"
         )
         cfg = harness.load_config(path)
-        tv, _ = harness.empirical_tv(cfg)
+        tv = harness.empirical_tv(cfg)
         exact = oracle.exact_distribution(
             harness.build_model(cfg, harness.build_graph(cfg))
         )
@@ -371,6 +373,7 @@ class TestCommands:
 
     def test_sweep_steps_per_node_per_size(self, tmp_path, monkeypatch):
         # each size n runs round(S * n) updates; a shared horizon gave every size one T
+        monkeypatch.setenv(harness.WORKERS_ENV, "1")  # the spy sees only this process's runs
         seen = []
         execute = netsim.run
 
@@ -381,7 +384,7 @@ class TestCommands:
         monkeypatch.setattr(netsim, "run", spy)
         path = tmp_path / "sw.ini"
         path.write_text(STEPS_CONFIG.replace("kind = grid\nrows = 3\ncols = 4", "kind = cycle\nn = 6") + "n_grid = 4, 16\n")
-        raw, _ = harness.run_sweep(harness.load_config(path), workers=1)
+        raw, _ = harness.run_sweep(harness.load_config(path))
         assert len(raw) == 2 * 3 and sorted(set(seen)) == [(4, 10), (16, 40)]
 
     def test_verify_coupling_empty_schedule(self, tmp_path):
@@ -391,7 +394,7 @@ class TestCommands:
         out = io.StringIO()
         assert harness.cmd_verify_coupling(cfg, out) == 0
 
-    def test_tv_worker_pool_matches_serial(self, tmp_path):
+    def test_tv_worker_pool_matches_serial(self, tmp_path, monkeypatch):
         path = tmp_path / "tv.ini"
         path.write_text(
             "[model]\nkind = hardcore\nlambda = 1.0\n\n"
@@ -401,8 +404,10 @@ class TestCommands:
             "[experiment]\nseeds = 1:1\nruns = 60\n"
         )
         cfg = harness.load_config(path)
-        serial, _ = harness.empirical_tv(cfg, workers=1)
-        pooled, _ = harness.empirical_tv(cfg, workers=2)
+        monkeypatch.setenv(harness.WORKERS_ENV, "1")
+        serial = harness.empirical_tv(cfg)
+        monkeypatch.setenv(harness.WORKERS_ENV, "2")
+        pooled = harness.empirical_tv(cfg)
         assert pooled == pytest.approx(serial)
 
     def test_fit_log_n(self):
@@ -413,6 +418,21 @@ class TestCommands:
         assert b == pytest.approx(0.5)
         assert r2 == pytest.approx(1.0)
         assert max(abs(r) for r in resid) < 1e-9
+
+
+class TestCsv:
+    def test_row_fields_and_header(self):
+        m, s, y0 = alternating_fixture()
+        res = run(m, s, y0, SynchronousScheduler())
+        report = phase2_residence(res)
+        row = harness.run_csv_row(7, "synchronous", m, res, report)
+        assert len(row) == len(harness.CSV_FIELDS)
+        assert {type(x) for x in row} <= {int, float, str}  # a np.float64 would repr differently
+        buf = io.StringIO()
+        harness.write_csv([harness.CSV_FIELDS, row], buf)
+        lines = buf.getvalue().splitlines()
+        assert lines[0] == ",".join(harness.CSV_FIELDS)
+        assert len(lines) == 2
 
 
 class TestCli:
@@ -527,10 +547,10 @@ class TestCli:
         assert err.startswith("config error:") and "Traceback" not in err
 
     def test_fixed_policy_rejected(self, tmp_path, capsys):
-        # a config cannot give the fixed policy its table, so it would run all-unit delays
+        # fixed delays need a per-channel table, which only Python code can build
         path = tmp_path / "fixed.ini"
         path.write_text(BASE_CONFIG.replace("policies = synchronous, uniform", "policies = uniform, fixed"))
-        with pytest.raises(ConfigError, match="table"):
+        with pytest.raises(ConfigError, match="unknown scheduler policy 'fixed'"):
             harness.load_config(path)
         assert cli.main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
@@ -587,7 +607,7 @@ class TestCli:
         assert "runs" in err and "Traceback" not in err
         path.write_text(text.format(5))
         with pytest.raises(ConfigError, match="run"):
-            harness.empirical_tv(harness.load_config(path), runs=int(runs))
+            harness.empirical_tv(dataclasses.replace(harness.load_config(path), runs=int(runs)))
 
     @pytest.mark.parametrize("bad", [
         "0.5 info 1",

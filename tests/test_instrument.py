@@ -1,7 +1,5 @@
 """Dependency-chain reconstruction and Phase-II residence bounds."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,6 @@ from asyncmetro import (
     SynchronousScheduler,
     UpdateId,
     chain_lengths,
-    chain_of,
     cycle_graph,
     empty_graph,
     generate,
@@ -24,10 +21,8 @@ from asyncmetro import (
     make_scheduler,
     path_graph,
     phase2_residence,
-    record_trigger,
     run,
 )
-from asyncmetro import instrument
 from tests.test_schedule import make_manual
 
 
@@ -52,12 +47,34 @@ def alternating_fixture():
     return m, s, [0, 1]
 
 
+def records_of(res):
+    """Resolution record of every update, keyed by update, after the checks of chain_lengths."""
+    chain_lengths(res)
+    return {UpdateId(r.node, r.index): r for r in res.resolutions}
+
+
+def walk_chain(records, target, schedule):
+    """Dependency chain ending at target, walked back from it: to the trigger,
+    else to the node's previous update, down to a self-triggered first update.
+    Asserts that the chain strictly increases in (time, node) order."""
+    chain = [target]
+    rec = records[target]
+    while rec.trigger is not None or rec.index > 1:
+        assert len(chain) <= len(records), f"dependency chain at {target} has a cycle"
+        chain.append(UpdateId(*rec.trigger) if rec.trigger is not None else UpdateId(rec.node, rec.index - 1))
+        rec = records[chain[-1]]
+    chain.reverse()
+    keys = [(float(schedule.times[v][i - 1]), v) for v, i in chain]
+    assert all(a < b for a, b in zip(keys, keys[1:])), chain
+    return chain
+
+
 class TestRecordTrigger:
     def test_isolated_vertices_all_self_triggered(self):
         m = make_coloring(empty_graph(3), 4)
         s = generate(m, 8.0, 2)
         res = run(m, s, [0, 0, 0], SynchronousScheduler())
-        records = record_trigger(res)
+        records = records_of(res)
         assert len(records) == s.total_updates
         assert all(rec.trigger is None for rec in records.values())
 
@@ -68,7 +85,7 @@ class TestRecordTrigger:
             1.0, [[0.1], [0.5]], proposals=[[2], [2]], coins=[[0.5], [0.5]], q=3
         )
         res = run(m, s, [0, 1], SynchronousScheduler())
-        records = record_trigger(res)
+        records = records_of(res)
         a1, b1 = records[UpdateId(0, 1)], records[UpdateId(1, 1)]
         assert a1.trigger is None and a1.accepted
         assert b1.trigger == UpdateId(0, 1) and not b1.accepted
@@ -78,7 +95,7 @@ class TestRecordTrigger:
         # initial values alone, at Phase-II entry
         m, s, y0 = alternating_fixture()
         res = run(m, s, y0, make_scheduler("adversarial-max"))
-        records = record_trigger(res)
+        records = records_of(res)
         assert records[UpdateId(0, 1)].trigger is None
 
     def test_every_trigger_precedes_its_update(self):
@@ -89,7 +106,7 @@ class TestRecordTrigger:
             m = make_coloring(Graph(n, edges), 3)
             s = generate(m, 5.0, int(rng.integers(10**6)))
             res = run(m, s, rng.integers(0, 3, n), make_scheduler("uniform", seed=1))
-            records = record_trigger(res)  # raises if any trigger is not earlier
+            records = records_of(res)  # raises if any trigger is not earlier
             for rec in records.values():
                 if rec.trigger is not None:
                     tu, ti = rec.trigger
@@ -103,21 +120,21 @@ class TestRecordTrigger:
         res = run(m, s, y0, SynchronousScheduler())
         res.resolutions.pop()
         with pytest.raises(SimulationInvariantError, match="missing"):
-            record_trigger(res)
+            records_of(res)
 
     def test_duplicate_resolution_detected(self):
         m, s, y0 = alternating_fixture()
         res = run(m, s, y0, SynchronousScheduler())
         res.resolutions.append(res.resolutions[0])
         with pytest.raises(SimulationInvariantError, match="twice"):
-            record_trigger(res)
+            records_of(res)
 
 
 def _reference_lengths(res):
-    """len(chain_of(...)) of every update, in (node, index) order."""
-    records = record_trigger(res)
+    """len(walk_chain(...)) of every update, in (node, index) order."""
+    records = records_of(res)
     s = res.schedule
-    return [len(chain_of(records, UpdateId(v, i), schedule=s))
+    return [len(walk_chain(records, UpdateId(v, i), s))
             for v in range(s.n) for i in range(1, s.counts[v] + 1)]
 
 
@@ -191,31 +208,27 @@ class TestChainLengths:
 class TestChainOf:
     def test_first_update_self_triggered_is_base_case(self):
         records = {UpdateId(0, 1): Resolution(0, 1, True, 0.0, None)}
-        assert chain_of(records, UpdateId(0, 1)) == [UpdateId(0, 1)]
+        assert walk_chain(records, UpdateId(0, 1), make_manual(1.0, [[0.5]])) == [UpdateId(0, 1)]
 
     def test_self_triggered_chain_walks_own_updates(self):
         m = make_coloring(empty_graph(1), 4)
         s = generate(m, 6.0, 4)
         assert s.counts[0] >= 2
         res = run(m, s, [0], SynchronousScheduler())
-        records = record_trigger(res)
-        chain = chain_of(records, UpdateId(0, 2))
+        records = records_of(res)
+        chain = walk_chain(records, UpdateId(0, 2), s)
         assert chain == [UpdateId(0, 1), UpdateId(0, 2)]
 
     def test_alternating_chain_matches_hand_trace(self):
         m, s, y0 = alternating_fixture()
         res = run(m, s, y0, make_scheduler("adversarial-max"))
         assert res.final.tolist() == [0, 1]  # every proposal rejected
-        records = record_trigger(res)
-        chain = chain_of(records, UpdateId(1, 2), schedule=s)
+        records = records_of(res)
+        chain = walk_chain(records, UpdateId(1, 2), s)
         assert chain == [UpdateId(0, 1), UpdateId(1, 1), UpdateId(0, 2), UpdateId(1, 2)]
         lengths = chain_lengths(res)  # (node, index) order: (0,1) (0,2) (1,1) (1,2)
         assert lengths[3] == 4
         assert lengths[1] == 3
-
-    def test_unknown_target_rejected(self):
-        with pytest.raises(KeyError):
-            chain_of({}, UpdateId(0, 1))
 
 
 class TestPhase2Residence:
@@ -294,17 +307,3 @@ class TestResidenceTailDecay:
         ratios = [b / a for a, b in zip(exceed, exceed[1:]) if a > 0]
         assert len(ratios) >= 1
         assert all(r <= 0.6 for r in ratios)
-
-
-class TestCsv:
-    def test_row_fields_and_header(self):
-        m, s, y0 = alternating_fixture()
-        res = run(m, s, y0, SynchronousScheduler())
-        report = phase2_residence(res)
-        row = instrument.run_csv_row(7, "synchronous", m, 1.0, res, report)
-        assert set(row) == set(instrument.CSV_FIELDS)
-        buf = io.StringIO()
-        instrument.write_csv([row], buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == ",".join(instrument.CSV_FIELDS)
-        assert len(lines) == 2

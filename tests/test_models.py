@@ -20,6 +20,7 @@ from asyncmetro import (
     random_regular_graph,
     star_graph,
 )
+from asyncmetro.models import _lipschitz_exact
 
 
 class TestGraph:
@@ -194,36 +195,36 @@ class TestLipschitzBound:
     def test_coloring_path_q4_is_one(self):
         # brute-force enumeration on a 3-node path with q = 2*max_degree
         m = make_coloring(path_graph(3), 4)
-        assert lipschitz_bound(m, "exact") == pytest.approx(1.0, abs=1e-12)
-        assert lipschitz_bound(m, "closed-form") == pytest.approx(1.0, abs=1e-12)
+        assert _lipschitz_exact(m) == pytest.approx(1.0, abs=1e-12)
+        assert lipschitz_bound(m) == pytest.approx(1.0, abs=1e-12)
 
     def test_hardcore_zero_fugacity(self):
         m = make_hardcore(path_graph(3), 0.0)
-        assert lipschitz_bound(m, "closed-form") == 0.0
-        assert lipschitz_bound(m, "exact") == 0.0
+        assert lipschitz_bound(m) == 0.0
+        assert _lipschitz_exact(m) == 0.0
 
     def test_ising_uniqueness_comparison_point(self):
         # 1 - exp(-2|beta|) = 2/max_degree  =>  closed-form constant 2
         d = 4
         beta = -0.5 * math.log(1.0 - 2.0 / d)
         m = make_ising(star_graph(d), beta)
-        assert lipschitz_bound(m, "closed-form") == pytest.approx(2.0, abs=1e-12)
+        assert lipschitz_bound(m) == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     @pytest.mark.parametrize("make_graph", [path_graph, star_graph, cycle_graph])
     def test_coloring_closed_form_matches_exact(self, q, make_graph):
         g = make_graph(3)
         m = make_coloring(g, q)
-        assert lipschitz_bound(m, "exact") == pytest.approx(
-            lipschitz_bound(m, "closed-form"), abs=1e-9
+        assert _lipschitz_exact(m) == pytest.approx(
+            lipschitz_bound(m), abs=1e-9
         )
 
     @pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
     @pytest.mark.parametrize("make_graph", [path_graph, star_graph, cycle_graph])
     def test_hardcore_closed_form_matches_exact(self, lam, make_graph):
         m = make_hardcore(make_graph(3), lam)
-        assert lipschitz_bound(m, "exact") == pytest.approx(
-            lipschitz_bound(m, "closed-form"), abs=1e-9
+        assert _lipschitz_exact(m) == pytest.approx(
+            lipschitz_bound(m), abs=1e-9
         )
 
     @pytest.mark.parametrize("beta", [0.1, 0.4, 1.0])
@@ -232,23 +233,21 @@ class TestLipschitzBound:
         # the conventional Ising constant max_degree*(1-exp(-2|beta|)) is not the
         # exact enumeration value; it bounds it within a factor of two
         m = make_ising(make_graph(3), beta)
-        exact = lipschitz_bound(m, "exact")
-        closed = lipschitz_bound(m, "closed-form")
+        exact = _lipschitz_exact(m)
+        closed = lipschitz_bound(m)
         assert closed / 2 - 1e-12 <= exact <= closed + 1e-12
 
     def test_no_edges_gives_zero(self):
-        assert lipschitz_bound(make_coloring(empty_graph(4), 3), "exact") == 0.0
-        assert lipschitz_bound(make_coloring(empty_graph(4), 3), "closed-form") == 0.0
+        assert _lipschitz_exact(make_coloring(empty_graph(4), 3)) == 0.0
+        assert lipschitz_bound(make_coloring(empty_graph(4), 3)) == 0.0
 
     def test_enumeration_guard(self):
         m = make_coloring(star_graph(12), 16)  # 16^11 shared assignments
         with pytest.raises(ValueError):
-            lipschitz_bound(m, "exact")
-        assert lipschitz_bound(m, "auto") == pytest.approx(2 * 12 / 16)
+            _lipschitz_exact(m)
+        assert lipschitz_bound(m) == pytest.approx(2 * 12 / 16)
 
     def test_custom_model_has_no_closed_form(self):
         g = path_graph(2)
         m = SpinModel(g, 2, np.full((2, 2), 0.5), filter_fn=lambda v, c, cn, tau: 1.0, kind="custom")
-        with pytest.raises(ValueError):
-            lipschitz_bound(m, "closed-form")
-        assert lipschitz_bound(m, "auto") == 0.0  # constant filter
+        assert lipschitz_bound(m) == 0.0  # enumerated: a constant filter

@@ -917,6 +917,20 @@ class TestSchedulers:
         assert [next(its[0]), next(its[0])] == [0.25, 0.25]
         assert [next(its[1]), next(its[1])] == [0.5, 0.5]
 
+    def test_table_key_not_a_channel_raises(self):
+        # (0, 2) is no edge of the path and node 5 does not exist; the run
+        # used to ignore both keys and end as all-default: final [0 2 1], makespan 6.0
+        m = make_coloring(path_graph(3), 3)
+        sch = FixedDelayScheduler(1.0, {(0, 2): 0.01, (5, 9): 2.0})
+        with pytest.raises(ValueError, match=re.escape("delay table key (0, 2) is not a channel")):
+            run(m, generate(m, 2.0, 1), [0, 1, 0], sch)
+
+    def test_table_value_checked_by_the_engine(self):
+        # every channel carries Phase-I fragments, so a bad value on a real channel is used
+        m = make_coloring(path_graph(3), 3)
+        with pytest.raises(ValueError, match=re.escape("delay 2.0 outside (0, 1]")):
+            run(m, generate(m, 2.0, 1), [0, 1, 0], FixedDelayScheduler(1.0, {(0, 1): 2.0}))
+
     @pytest.mark.parametrize("lengths, channel", [
         ({(0, 1): 3, (1, 0): 2}, "(1, 0)"),  # ends within node 1's three Phase-I fragments
         ({(0, 1): 2, (1, 0): 5}, "(0, 1)"),  # ends at node 0's decision

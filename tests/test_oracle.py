@@ -14,13 +14,13 @@ from asyncmetro import (
     empty_graph,
     exact_distribution,
     generate,
+    generate_steps,
     make_coloring,
     make_hardcore,
     make_ising,
     path_graph,
     run_continuous,
     run_discrete,
-    total_order,
     total_variation,
 )
 from asyncmetro import oracle as oracle_mod
@@ -35,6 +35,17 @@ def proper_colorings(graph, q):
         for cfg in itertools.product(range(q), repeat=graph.n)
         if all(cfg[u] != cfg[v] for u, v in edges)
     ]
+
+
+def discrete_configs(model, n_steps, seed, x0):
+    """Yield the configuration after each step of run_discrete(model, n_steps, seed, x0),
+    rebuilt from the states of run_continuous on the same schedule; one list, updated in place."""
+    s = generate_steps(model, n_steps, seed)
+    nodes = np.repeat(np.arange(s.n), s.counts)[s.order].tolist()
+    cur = list(x0)
+    for v, state in zip(nodes, run_continuous(model, s, x0).states):
+        cur[v] = state
+        yield cur
 
 
 class TestRunContinuous:
@@ -101,7 +112,7 @@ class TestRunContinuous:
         assert "trajectory" not in vars(out) and len(out.states) == s.total_updates
         steps = out.trajectory
         assert out.trajectory is steps
-        assert [(st.node, st.index) for st in steps] == [tuple(u) for u in total_order(s)]
+        assert [(st.node, st.index) for st in steps] == [tuple(s.update_at(p)) for p in s.order.tolist()]
         assert [st.time for st in steps] == [float(s.times[st.node][st.index - 1]) for st in steps]
         assert [st.new_state for st in steps] == out.states
 
@@ -133,11 +144,8 @@ class TestRunDiscrete:
     def test_single_node_uniform_marginal(self):
         m = make_coloring(empty_graph(1), 2)
         visits = [0, 0]
-
-        def observer(step, cfg):
+        for cfg in discrete_configs(m, 100_000, 5, [0]):
             visits[cfg[0]] += 1
-
-        run_discrete(m, 100_000, 5, [0], observer=observer)
         frac = visits[0] / sum(visits)
         assert abs(frac - 0.5) < 0.01
 
@@ -148,12 +156,9 @@ class TestRunDiscrete:
         targets = proper_colorings(g, q)
         assert len(targets) == 18
         counts = {cfg: 0 for cfg in targets}
-
-        def observer(step, cfg):
-            counts[tuple(cfg)] += 1
-
         steps = 1_000_000
-        run_discrete(m, steps, 17, targets[0], observer=observer)
+        for cfg in discrete_configs(m, steps, 17, targets[0]):
+            counts[tuple(cfg)] += 1
         expected = steps / 18
         for cfg, c in counts.items():
             assert abs(c - expected) / expected < 0.20, cfg
@@ -166,9 +171,12 @@ class TestRunDiscrete:
 
     def test_stream_pinned_on_generate_steps(self):
         # every state of 2000 steps of the chain on generate_steps(model, 2000, 11)
+        m = make_ising(cycle_graph(6), 0.4)
         h = hashlib.sha256()
-        run_discrete(make_ising(cycle_graph(6), 0.4), 2000, 11, [0] * 6, observer=lambda step, cfg: h.update(bytes(cfg)))
+        for cfg in discrete_configs(m, 2000, 11, [0] * 6):
+            h.update(bytes(cfg))
         assert h.hexdigest() == "34720e4e48389977918ac4adfee68ccd0026b3a0c040373186c41f8ade136ed7"
+        assert run_discrete(m, 2000, 11, [0] * 6).tolist() == cfg
 
     @pytest.mark.parametrize("value", [1.5, float("nan")], ids=["above-one", "nan"])
     def test_filter_value_outside_unit_interval_raises(self, value):
@@ -211,11 +219,6 @@ class TestExactDistribution:
         m = make_coloring(empty_graph(30), 4)  # 4^30 states
         with pytest.raises(ValueError):
             exact_distribution(m)
-
-    def test_custom_weight(self):
-        m = make_coloring(path_graph(2), 2)
-        table = exact_distribution(m, weight=lambda cfg: 1.0)
-        assert all(p == pytest.approx(1 / 4) for p in table.values())
 
     def test_total_variation(self):
         p = {(0,): 0.5, (1,): 0.5}

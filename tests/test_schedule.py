@@ -25,7 +25,6 @@ from asyncmetro import (
     random_regular_graph,
     run,
     run_continuous,
-    total_order,
 )
 from asyncmetro import schedule as sched_mod
 
@@ -197,16 +196,18 @@ class TestGenerateSteps:
 class TestTotalOrder:
     def test_empty(self):
         m = make_coloring(empty_graph(3), 2)
-        assert total_order(generate(m, 0.0, 1)) == []
+        s = generate(m, 0.0, 1)
+        assert [s.update_at(p) for p in s.order.tolist()] == []
 
     def test_sorted_by_time(self):
         s = make_manual(1.0, [[0.5], [0.3, 0.7]])
-        assert total_order(s) == [UpdateId(1, 1), UpdateId(0, 1), UpdateId(1, 2)]
+        assert [s.update_at(p) for p in s.order.tolist()] == [UpdateId(1, 1), UpdateId(0, 1), UpdateId(1, 2)]
 
     def test_exact_tie_breaks_by_node_id(self):
         s = make_manual(1.0, [[], [], [], [0.5], [], [], [], [0.5]])
-        assert total_order(s) == [UpdateId(3, 1), UpdateId(7, 1)]
-        assert total_order(s) == tuple_order(s)
+        order = [s.update_at(p) for p in s.order.tolist()]
+        assert order == [UpdateId(3, 1), UpdateId(7, 1)]
+        assert order == tuple_order(s)
 
     def test_rank_matches_tuple_order(self):
         # every ordered pair of updates, on generated schedules and on exact-tie grids
@@ -219,7 +220,7 @@ class TestTotalOrder:
         cases = order_cases()
         assert any(len(set(np.concatenate(s.times).tolist())) < s.total_updates for s in cases)  # exact ties occur
         for s in cases:
-            assert [s.update_at(pos) for pos in s.order.tolist()] == tuple_order(s) == total_order(s)
+            assert [s.update_at(pos) for pos in s.order.tolist()] == tuple_order(s)
             assert s.rank[s.order].tolist() == list(range(s.total_updates))
 
     def test_empty_graph_has_empty_order(self):
@@ -243,7 +244,7 @@ class TestTotalOrder:
     def test_restriction_to_one_node_is_index_order(self):
         m = make_coloring(empty_graph(4), 3)
         s = generate(m, 30.0, 5)
-        order = total_order(s)
+        order = [s.update_at(p) for p in s.order.tolist()]
         for v in range(4):
             assert [u.index for u in order if u.node == v] == list(range(1, s.counts[v] + 1))
 
