@@ -28,7 +28,6 @@ from .netsim import (
     Simulation,
     SimulationInvariantError,
     SimulationResult,
-    SynchronousScheduler,
     UniformRandomScheduler,
     filter_range,
     make_scheduler,

@@ -2,10 +2,11 @@
 
 A model's filter f(v, c, c', tau) is the probability of accepting the move of
 node v from state c to proposal c' when its neighborhood holds tau (one state
-per neighbor, in sorted-adjacency order). Models may additionally carry an
-edge-factor decomposition g(v, u, c, c', b) >= 0 with
+per neighbor, in sorted-adjacency order). A model gives f in exactly one of two
+forms: a filter_fn, or an edge-factor decomposition g(v, u, c, c', b) >= 0 with
 f = min(1, prod_u g(v, u, c, c', tau_u)), which enables closed-form
-acceptance/rejection thresholds under partial neighborhood knowledge.
+acceptance/rejection thresholds under partial neighborhood knowledge. Every
+route reads edge_factor_fn is None to tell the forms apart.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ class SpinModel:
     ):
         if q < 1:
             raise ValueError(f"domain size must be >= 1, got {q}")
-        if filter_fn is None and edge_factor_fn is None:
-            raise ValueError("need a filter_fn, an edge_factor_fn, or both")
+        if (filter_fn is None) == (edge_factor_fn is None):
+            raise ValueError("need exactly one of filter_fn and edge_factor_fn")
         proposals = np.asarray(proposals, dtype=float)
         if proposals.shape != (graph.n, q):
             raise ValueError(f"proposals must have shape ({graph.n}, {q}), got {proposals.shape}")
@@ -87,19 +88,24 @@ class SpinModel:
     def n(self) -> int:
         return self.graph.n
 
-    def _validate_states(self, v: int, c: int, c_new: int, tau: Sequence[int]) -> None:
+    def check_filter_args(
+        self, v: int, c: int, c_new: int, neighbor_states: Sequence[Iterable[int]]
+    ) -> list[tuple[int, ...]]:
+        """The one check of f's arguments: node v, states c and c', and one nonempty set
+        of states in 0..q-1 per neighbor of v (sorted-adjacency order). Returns the
+        sets, each sorted and deduplicated."""
         q = self.q
-        if not 0 <= v < self.graph.n:
-            raise ValueError(f"node {v} out of range")
+        if not 0 <= v < self.n:
+            raise ValueError(f"node {v} out of range 0..{self.n - 1}")
         if not (0 <= c < q and 0 <= c_new < q):
             raise ValueError(f"states must lie in 0..{q - 1}, got c={c}, c'={c_new}")
-        if len(tau) != len(self.graph.adj[v]):
-            raise ValueError(
-                f"neighborhood assignment has length {len(tau)}, node {v} has degree {self.graph.degree(v)}"
-            )
-        for b in tau:
-            if not 0 <= b < q:
-                raise ValueError(f"neighborhood state {b} out of range 0..{q - 1}")
+        if len(neighbor_states) != self.graph.degree(v):
+            raise ValueError(f"need {self.graph.degree(v)} neighbor states for node {v}, got {len(neighbor_states)}")
+        sets = [tuple(sorted(set(S))) for S in neighbor_states]
+        for S in sets:
+            if not S or S[0] < 0 or S[-1] >= q:
+                raise ValueError(f"neighbor state set {S} of node {v} must be nonempty within 0..{q - 1}")
+        return sets
 
     def check_configuration(self, config: Sequence[int]) -> list[int]:
         """config as a list of ints, after checking its length and state range."""
@@ -112,7 +118,7 @@ class SpinModel:
         return out
 
     def _filter_raw(self, v: int, c: int, c_new: int, tau: Sequence[int]) -> float:
-        if self.filter_fn is not None:
+        if self.edge_factor_fn is None:
             return self.filter_fn(v, c, c_new, tau)
         # map, not a generator: its closure would slow every call, filter_fn ones too
         factors = map(self.edge_factor_fn, repeat(v), self.graph.adj[v], repeat(c), repeat(c_new), tau)
@@ -120,7 +126,7 @@ class SpinModel:
 
     def filter_value(self, v: int, c: int, c_new: int, tau: Sequence[int]) -> float:
         """Acceptance probability f(v, c, c', tau); tau in sorted-adjacency order."""
-        self._validate_states(v, c, c_new, tau)
+        self.check_filter_args(v, c, c_new, [(b,) for b in tau])
         val = self._filter_raw(v, c, c_new, tau)
         if not 0.0 <= val <= 1.0:
             raise ValueError(f"filter returned {val!r}, outside [0, 1]")
@@ -195,7 +201,8 @@ def lipschitz_bound(model: SpinModel) -> float:
     Delta*lam/(1+lam) (hardcore), and Delta*(1-exp(-2|beta|)) (Ising). The
     first two match exact enumeration; the Ising form is the conventional
     translation constant and upper-bounds the exact value by at most 2x. Other
-    models take the enumeration, guarded by q^(max_degree-1) <= 1e6.
+    models take the enumeration, guarded by q^(max_degree-1) <= 1e6, which reads
+    f through filter_value and so raises ValueError on a value outside [0, 1].
     """
     d = model.graph.max_degree
     if model.kind == "coloring":
@@ -217,7 +224,7 @@ def _lipschitz_exact(model: SpinModel) -> float:
         raise ValueError(
             f"exact enumeration infeasible: q^(max_degree-1) = {q}^{g.max_degree - 1} exceeds {_EXACT_ENUM_LIMIT}"
         )
-    filt = model._filter_raw
+    filt = model.filter_value
     best = 0.0
     for v in range(g.n):
         nbrs = g.adj[v]

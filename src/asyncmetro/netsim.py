@@ -67,13 +67,6 @@ class FixedDelayScheduler(Scheduler):
         return [itertools.repeat(self.table.get(pair, self.default)) for pair in pairs]
 
 
-class SynchronousScheduler(FixedDelayScheduler):
-    """Benign lock-step scheduler: every delay is exactly one time unit."""
-
-    def __init__(self):
-        super().__init__(1.0)
-
-
 class UniformRandomScheduler(Scheduler):
     """I.i.d. delays uniform on (0, 1]."""
 
@@ -94,8 +87,8 @@ _STREAM_ENDED = "the scheduler's delay stream of channel ({}, {}) ended before t
 
 def make_scheduler(policy: str, seed: int = 0) -> Scheduler:
     if policy in ("synchronous", "adversarial-max"):
-        # every delay at the maximum of one unit is also the max-delay adversary
-        return SynchronousScheduler()
+        # lock-step: every delay at the maximum of one unit, which is also the max-delay adversary
+        return FixedDelayScheduler()
     if policy == "uniform":
         return UniformRandomScheduler(seed)
     raise ValueError(f"unknown scheduler policy {policy!r}; expected one of {SCHEDULER_POLICIES}")
@@ -154,21 +147,6 @@ def _possible_set(known: list[int], j_u: int, idx: int) -> list[int]:
     return known[min(j_u - 1, idx) : idx + 1]
 
 
-def _check_state_sets(model: SpinModel, v: int, neighbor_states) -> list[tuple[int, ...]]:
-    adj = model.graph.adj[v]
-    if len(neighbor_states) != len(adj):
-        raise ValueError(f"need {len(adj)} state sets for node {v}, got {len(neighbor_states)}")
-    out = []
-    for S in neighbor_states:
-        S = tuple(sorted(set(S)))
-        if not S:
-            raise SimulationInvariantError(f"empty possible-state set at node {v}")
-        if S[0] < 0 or S[-1] >= model.q:
-            raise ValueError(f"state set {S} out of range 0..{model.q - 1}")
-        out.append(S)
-    return out
-
-
 def thresholds(
     model: SpinModel, v: int, c: int, c_new: int, neighbor_states: Sequence[Iterable[int]]
 ) -> tuple[float, float]:
@@ -177,12 +155,13 @@ def thresholds(
     accepts when beta < min f and rejects when beta >= max f.
 
     Uses the per-edge min/max closed form when the model has edge factors,
-    otherwise enumerates the product (filter_range).
+    otherwise enumerates the product (filter_range). Bad arguments raise
+    ValueError from SpinModel.check_filter_args.
     """
     factor = model.edge_factor_fn
     if factor is None:
         return filter_range(model, v, c, c_new, neighbor_states)
-    sets = _check_state_sets(model, v, neighbor_states)
+    sets = model.check_filter_args(v, c, c_new, neighbor_states)
     ranges = [edge_range(factor, v, u, c, c_new, S) for u, S in zip(model.graph.adj[v], sets)]
     return capped_product(lo for lo, _ in ranges), capped_product(hi for _, hi in ranges)
 
@@ -209,7 +188,7 @@ def filter_range(
     """(min f, max f) of the filter over the product of state sets, by
     enumeration; the reference for every closed-form and engine threshold.
     Raises ValueError on a filter value outside [0, 1], NaN included."""
-    sets = _check_state_sets(model, v, neighbor_states)
+    sets = model.check_filter_args(v, c, c_new, neighbor_states)
     filt = model._filter_raw
     values = [filt(v, c, c_new, tau) for tau in itertools.product(*sets)]
     for f in values:

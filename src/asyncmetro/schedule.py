@@ -175,32 +175,3 @@ def dump(schedule: UpdateSchedule, fh: IO[str]) -> None:
         b = schedule.coins[v].tolist()
         for i in range(len(t)):
             fh.write(f"{v} {i + 1} {t[i]!r} {p[i]} {b[i]!r}\n")
-
-
-def load(fh: IO[str], q: int) -> UpdateSchedule:
-    """Inverse of dump(); q is needed to re-validate proposals."""
-    header = fh.readline().split()
-    if len(header) != 3:
-        raise ValueError(f"bad schedule header: {header!r}")
-    n, T, seed = int(header[0]), float(header[1]), int(header[2])
-    per_node: list[list[tuple[int, float, int, float]]] = [[] for _ in range(n)]
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise ValueError(f"bad schedule line: {line!r}")
-        v, i = int(parts[0]), int(parts[1])
-        if not 0 <= v < n:
-            raise ValueError(f"node {v} out of range")
-        per_node[v].append((i, float(parts[2]), int(parts[3]), float(parts[4])))
-    times, proposals, coins = [], [], []
-    for v in range(n):
-        rows = sorted(per_node[v])
-        if [i for i, *_ in rows] != list(range(1, len(rows) + 1)):
-            raise ValueError(f"node {v}: update indices are not 1..m")
-        times.append(np.asarray([r[1] for r in rows]))
-        proposals.append(np.asarray([r[2] for r in rows], dtype=np.int64))
-        coins.append(np.asarray([r[3] for r in rows]))
-    return UpdateSchedule(T, seed, n, q, times, proposals, coins)

@@ -1,9 +1,10 @@
 """Byte-identity of the text outputs across refactors.
 
 The digests below pin the exact bytes of the `asyncmetro run` CSV and
-`--finals` file, of exported event traces, and of the oracle's trajectory
-dump for small fixed configs. A change that alters any of them alters a
-random stream, an ordering rule or a float's formatting, and must say why.
+`--finals` file, of `asyncmetro dump-schedule`, of exported event traces, and
+of the oracle's trajectory dump for small fixed configs. A change that alters
+any of them alters a random stream, an ordering rule or a float's formatting,
+and must say why.
 """
 
 import hashlib
@@ -50,6 +51,11 @@ TRACE = {
     "hardcore": "79cf7888cad729d52ec1bcce51eaf9b8e7eca8b5826ce3af9796ad4b6a746b05",
     "ising": "1a59885b23d4518dc37f40dd8be5a5b6e764b73dd638d75a9e40dcab15e7c4f6",
 }
+DUMP_SCHEDULE = {
+    "coloring": "05ed02bda6e6ba314e606b6cf2b1e91f926fb6f1500c1a97d7d0f29a3b16cbf2",
+    "hardcore": "288c864a9ae6efee7751020691f723c155fca40ce2ea305b0c3179f336b9401d",
+    "ising": "61694a4617710d5ed2f9b5e3cf3cb0a6c4d352f074af0d7ae1f000f9362ae9ab",
+}
 TRAJECTORY_ISING = "fea4b882d116091d47136fc2d076f37e0404aea348fddbfecc5c9e340f48d034"
 
 
@@ -71,6 +77,13 @@ def test_run_csv_and_finals(config_path, tmp_path):
     assert cli.main(["run", str(config_path), "-o", str(out), "--finals", str(finals)]) == 0
     assert _sha(out.read_text()) == RUN_CSV[kind]
     assert _sha(finals.read_text()) == FINALS[kind]
+
+
+@pytest.mark.parametrize("config_path", sorted(CONFIGS), indirect=True)
+def test_dump_schedule(config_path, tmp_path):
+    out = tmp_path / "schedule.txt"
+    assert cli.main(["dump-schedule", str(config_path), "-o", str(out)]) == 0
+    assert _sha(out.read_text()) == DUMP_SCHEDULE[config_path.stem]
 
 
 @pytest.mark.parametrize("config_path", sorted(CONFIGS), indirect=True)

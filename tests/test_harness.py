@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asyncmetro import SynchronousScheduler, cli, harness, netsim, oracle, phase2_residence, run
+from asyncmetro import FixedDelayScheduler, cli, harness, netsim, oracle, phase2_residence, run
 from asyncmetro import schedule as sched_mod
 from asyncmetro.harness import ConfigError
 from tests.test_instrument import alternating_fixture
+from tests.test_schedule import assert_dump_exact
 
 BASE_CONFIG = """\
 [model]
@@ -208,7 +209,7 @@ class TestCommands:
         for v in range(model.n):
             for k in range(len(corrupted.coins[v])):
                 corrupted.coins[v][k] = 1.0 - 1e-12 if sch.coins[v][k] < 0.5 else 0.0
-                res = netsim.run(model, corrupted, y0, netsim.SynchronousScheduler())
+                res = netsim.run(model, corrupted, y0, netsim.FixedDelayScheduler())
                 mismatch = harness.first_mismatch(expected, res.final)
                 if mismatch:
                     break
@@ -346,6 +347,15 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "n_grid" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("grid", ["0, 4, 8", "-4, 4, 8"])
+    def test_sweep_rejects_size_below_one(self, tmp_path, capsys, grid):
+        # size 0 of an empty graph reached fit_log_n as ln 0: LAPACK lines, then "SVD did not converge"
+        path = tmp_path / "sw.ini"
+        path.write_text(BASE_CONFIG.replace("kind = cycle\nn = 6", "kind = empty\nn = 4") + f"n_grid = {grid}\n")
+        assert cli.main(["sweep", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [experiment] n_grid entries must be >= 1") and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["run", "verify-coupling", "tv-test", "dump-schedule"])
     def test_steps_per_node_schedules(self, tmp_path, monkeypatch, command):
         built = []
@@ -368,8 +378,7 @@ class TestCommands:
             rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
             assert len(rows) == 3 * 2 and all(float(r[6]) == drawn[int(r[0])] for r in rows)
         if command == "dump-schedule":
-            with open(out) as fh:
-                assert sched_mod.load(fh, q=2).total_updates == 30
+            assert len(out.read_text().splitlines()) == 1 + 30  # the header, then one line per update
 
     def test_sweep_steps_per_node_per_size(self, tmp_path, monkeypatch):
         # each size n runs round(S * n) updates; a shared horizon gave every size one T
@@ -423,7 +432,7 @@ class TestCommands:
 class TestCsv:
     def test_row_fields_and_header(self):
         m, s, y0 = alternating_fixture()
-        res = run(m, s, y0, SynchronousScheduler())
+        res = run(m, s, y0, FixedDelayScheduler())
         report = phase2_residence(res)
         row = harness.run_csv_row(7, "synchronous", m, res, report)
         assert len(row) == len(harness.CSV_FIELDS)
@@ -485,16 +494,17 @@ class TestCli:
     def test_dump_schedule_and_reload(self, config_path, tmp_path):
         out = tmp_path / "sched.txt"
         assert cli.main(["dump-schedule", str(config_path), "-o", str(out)]) == 0
-        with open(out) as fh:
-            loaded = sched_mod.load(fh, q=5)
-        assert loaded.n == 6 and loaded.seed == 1
+        cfg = harness.load_config(config_path)
+        s = harness.build_schedule(cfg, harness.build_model(cfg, harness.build_graph(cfg)), cfg.seeds[0])
+        assert (s.n, s.seed) == (6, 1)
+        assert_dump_exact(out.read_text(), s)
 
     def test_replay_trace_cli(self, tmp_path, capsys):
-        from asyncmetro import SynchronousScheduler, cycle_graph, generate, make_coloring, run
+        from asyncmetro import FixedDelayScheduler, cycle_graph, generate, make_coloring, run
 
         m = make_coloring(cycle_graph(4), 4)
         s = generate(m, 3.0, 6)
-        res = run(m, s, [0, 1, 0, 1], SynchronousScheduler(), collect_trace=True)
+        res = run(m, s, [0, 1, 0, 1], FixedDelayScheduler(), collect_trace=True)
         trace = tmp_path / "trace.txt"
         with open(trace, "w") as fh:
             netsim.write_trace(res.trace, fh)

@@ -8,7 +8,6 @@ from asyncmetro import (
     Graph,
     Resolution,
     SimulationInvariantError,
-    SynchronousScheduler,
     UpdateId,
     chain_lengths,
     cycle_graph,
@@ -73,7 +72,7 @@ class TestRecordTrigger:
     def test_isolated_vertices_all_self_triggered(self):
         m = make_coloring(empty_graph(3), 4)
         s = generate(m, 8.0, 2)
-        res = run(m, s, [0, 0, 0], SynchronousScheduler())
+        res = run(m, s, [0, 0, 0], FixedDelayScheduler())
         records = records_of(res)
         assert len(records) == s.total_updates
         assert all(rec.trigger is None for rec in records.values())
@@ -84,7 +83,7 @@ class TestRecordTrigger:
         s = make_manual(
             1.0, [[0.1], [0.5]], proposals=[[2], [2]], coins=[[0.5], [0.5]], q=3
         )
-        res = run(m, s, [0, 1], SynchronousScheduler())
+        res = run(m, s, [0, 1], FixedDelayScheduler())
         records = records_of(res)
         a1, b1 = records[UpdateId(0, 1)], records[UpdateId(1, 1)]
         assert a1.trigger is None and a1.accepted
@@ -117,14 +116,14 @@ class TestRecordTrigger:
 
     def test_missing_update_detected(self):
         m, s, y0 = alternating_fixture()
-        res = run(m, s, y0, SynchronousScheduler())
+        res = run(m, s, y0, FixedDelayScheduler())
         res.resolutions.pop()
         with pytest.raises(SimulationInvariantError, match="missing"):
             records_of(res)
 
     def test_duplicate_resolution_detected(self):
         m, s, y0 = alternating_fixture()
-        res = run(m, s, y0, SynchronousScheduler())
+        res = run(m, s, y0, FixedDelayScheduler())
         res.resolutions.append(res.resolutions[0])
         with pytest.raises(SimulationInvariantError, match="twice"):
             records_of(res)
@@ -154,7 +153,7 @@ class TestChainLengths:
                             proposals=[rng.integers(0, m.q, len(t)) for t in times],
                             coins=[rng.random(len(t)) for t in times])
         table = {(u, v): float(1.0 - rng.random()) for u in range(n) for v in g.adj[u]}
-        schedulers = (SynchronousScheduler(), make_scheduler("uniform", seed=k),
+        schedulers = (FixedDelayScheduler(), make_scheduler("uniform", seed=k),
                       FixedDelayScheduler(default=0.5, table=table))
         return m, s, rng.integers(0, m.q, n), schedulers
 
@@ -190,7 +189,7 @@ class TestChainLengths:
         # order, but node 1's update comes later in (time, node, index) order
         # (on a time tie through the node id alone)
         m = make_coloring(empty_graph(2), 3)
-        res = run(m, make_manual(1.0, times, q=3), [0, 0], SynchronousScheduler())
+        res = run(m, make_manual(1.0, times, q=3), [0, 0], FixedDelayScheduler())
         res.resolutions.reverse()
         chain_lengths(res)
         res.resolutions[1] = res.resolutions[1]._replace(trigger=UpdateId(1, 1))
@@ -199,7 +198,7 @@ class TestChainLengths:
 
     def test_unscheduled_update_raises(self):
         m, s, y0 = alternating_fixture()
-        res = run(m, s, y0, SynchronousScheduler())
+        res = run(m, s, y0, FixedDelayScheduler())
         res.resolutions.append(res.resolutions[0]._replace(index=3))
         with pytest.raises(SimulationInvariantError, match="unscheduled"):
             chain_lengths(res)
@@ -214,7 +213,7 @@ class TestChainOf:
         m = make_coloring(empty_graph(1), 4)
         s = generate(m, 6.0, 4)
         assert s.counts[0] >= 2
-        res = run(m, s, [0], SynchronousScheduler())
+        res = run(m, s, [0], FixedDelayScheduler())
         records = records_of(res)
         chain = walk_chain(records, UpdateId(0, 2), s)
         assert chain == [UpdateId(0, 1), UpdateId(0, 2)]
@@ -235,7 +234,7 @@ class TestPhase2Residence:
     def test_no_updates_means_zero_residence(self):
         m = make_coloring(cycle_graph(4), 3)
         s = generate(m, 0.0, 1)
-        res = run(m, s, [0, 1, 0, 1], SynchronousScheduler())
+        res = run(m, s, [0, 1, 0, 1], FixedDelayScheduler())
         report = phase2_residence(res)
         assert np.all(report.residence == 0.0)
         assert np.all(report.chain_length == 0)
@@ -244,7 +243,7 @@ class TestPhase2Residence:
     def test_isolated_nodes_under_synchronous_scheduler(self):
         m = make_coloring(empty_graph(4), 3)
         s = generate(m, 6.0, 9)
-        res = run(m, s, [0] * 4, SynchronousScheduler())
+        res = run(m, s, [0] * 4, FixedDelayScheduler())
         report = phase2_residence(res)
         assert np.all(report.residence == 0.0)
 

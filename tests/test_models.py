@@ -157,6 +157,14 @@ class TestBuiltins:
         with pytest.raises(ValueError, match="proposal"):
             SpinModel(path_graph(2), 2, np.array([row, [0.5, 0.5]]), filter_fn=lambda *a: 1.0)
 
+    @pytest.mark.parametrize("fns", ["both", "neither"])
+    def test_exactly_one_form_of_f(self, fns):
+        # with both, the oracle read filter_fn and the engine the edge factors: on C4 with
+        # q = 3, f = 0.5 and g = 1, generate(m, 5.0, 1) ended at [2 0 2 1] and [2 0 2 2]
+        given = {"filter_fn": lambda v, c, cn, tau: 0.5, "edge_factor_fn": lambda v, u, c, cn, b: 1.0}
+        with pytest.raises(ValueError, match="exactly one of filter_fn and edge_factor_fn"):
+            SpinModel(cycle_graph(4), 3, np.full((4, 3), 1.0 / 3), **(given if fns == "both" else {}))
+
 
 def _random_models(rng, n_graphs=6):
     out = []
@@ -246,6 +254,16 @@ class TestLipschitzBound:
         with pytest.raises(ValueError):
             _lipschitz_exact(m)
         assert lipschitz_bound(m) == pytest.approx(2 * 12 / 16)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.5, math.nan], ids=["above-one", "negative", "nan"])
+    def test_enumeration_rejects_filter_outside_unit_interval(self, bad):
+        # read unchecked, a filter of 1.5 on part of the product gave 2.6, an all-NaN one 0.0
+        def filt(v, c, cn, tau):
+            return bad if math.isnan(bad) or tau[0] == 2 else 0.5
+
+        m = SpinModel(cycle_graph(4), 3, np.full((4, 3), 1.0 / 3), filter_fn=filt)
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            lipschitz_bound(m)
 
     def test_custom_model_has_no_closed_form(self):
         g = path_graph(2)

@@ -17,7 +17,6 @@ from asyncmetro import (
     Simulation,
     SimulationInvariantError,
     SpinModel,
-    SynchronousScheduler,
     cycle_graph,
     empty_graph,
     filter_range,
@@ -122,8 +121,28 @@ class TestThresholds:
             thresholds(m, 0, 0, 1, [{0, 1}])
 
     def test_empty_set_is_invariant_violation(self, coloring5):
-        with pytest.raises(SimulationInvariantError):
+        # an empty set is caller input, a ValueError like every bad argument; the
+        # engine's walk, whose sets are never empty, keeps SimulationInvariantError
+        with pytest.raises(ValueError, match=r"set \(\) of node 0 must be nonempty"):
             thresholds(coloring5, 0, 0, 2, [set()])
+
+    @pytest.mark.parametrize("args, match", [
+        ((0, 7, 9, [{1}, {2}]), r"states must lie in 0\.\.4, got c=7, c'=9"),
+        ((0, 0, 9, [{1}, {2}]), r"got c=0, c'=9"),
+        ((9, 0, 1, [{1}, {2}]), r"node 9 out of range 0\.\.3"),
+        ((-1, 0, 1, [{1}, {2}]), r"node -1 out of range"),
+        ((0, 0, 1, [{1}]), r"need 2 neighbor states for node 0, got 1"),
+        ((0, 0, 1, [{1}, {2, 5}]), r"set \(2, 5\) of node 0 must be nonempty within 0\.\.4"),
+    ], ids=["c-and-c-new", "c-new", "node-past-n", "negative-node", "set-count", "state-out-of-range"])
+    @pytest.mark.parametrize("form", ["edge-factor", "filter-only"])
+    @pytest.mark.parametrize("fn", [thresholds, filter_range], ids=["thresholds", "filter_range"])
+    def test_bad_arguments_raise_value_error(self, fn, form, args, match):
+        # one check for every route: c = 7, c' = 9 at q = 5 gave (1.0, 1.0), node 9 an IndexError
+        m = make_coloring(cycle_graph(4), 5)
+        if form == "filter-only":
+            m = SpinModel(m.graph, 5, m.proposals, filter_fn=lambda v, c, cn, tau: float(cn not in tau))
+        with pytest.raises(ValueError, match=match):
+            fn(m, *args)
 
     def test_fast_path_equals_bruteforce(self):
         rng = np.random.default_rng(42)
@@ -178,14 +197,14 @@ class TestRun:
     def test_empty_schedule_returns_initial(self):
         m = make_coloring(cycle_graph(4), 3)
         s = generate(m, 0.0, 1)
-        res = run(m, s, [0, 1, 0, 1], SynchronousScheduler())
+        res = run(m, s, [0, 1, 0, 1], FixedDelayScheduler())
         assert res.final.tolist() == [0, 1, 0, 1]
         assert res.stats.makespan == res.stats.phase1_end
 
     def test_isolated_vertices_resolve_at_entry(self):
         m = make_coloring(empty_graph(3), 4)
         s = generate(m, 10.0, 5)
-        res = run(m, s, [0, 0, 0], SynchronousScheduler())
+        res = run(m, s, [0, 0, 0], FixedDelayScheduler())
         assert np.array_equal(res.final, run_continuous(m, s, [0, 0, 0]).final)
         assert res.stats.makespan == 0.0
         assert np.all(res.stats.residence == 0.0)
@@ -193,7 +212,7 @@ class TestRun:
     def test_single_edge_forced_rejection(self):
         m = make_coloring(path_graph(2), 2)
         s = make_manual(1.0, [[0.5], []], proposals=[[1], []], coins=[[0.9], []], q=2)
-        res = run(m, s, [0, 1], SynchronousScheduler())
+        res = run(m, s, [0, 1], FixedDelayScheduler())
         assert res.final.tolist() == [0, 1]
 
     def test_matches_oracle_on_random_instances(self):
@@ -220,7 +239,7 @@ class TestRun:
         rng = np.random.default_rng(31)
         for _ in range(6):
             m, s, y0 = _coupling_case(rng)
-            res = run(m, s, y0, SynchronousScheduler())
+            res = run(m, s, y0, FixedDelayScheduler())
             g = m.graph
             assert res.stats.phase1_messages == 2 * g.num_edges
             expected_dec = sum(len(s.times[v]) * g.degree(v) for v in range(g.n))
@@ -233,7 +252,7 @@ class TestRun:
     def test_bit_accounting(self):
         m = make_coloring(cycle_graph(5), 4)
         s = generate(m, 6.0, 12)
-        res = run(m, s, [0, 1, 0, 1, 2], SynchronousScheduler())
+        res = run(m, s, [0, 1, 0, 1, 2], FixedDelayScheduler())
         n, T, q = 5, 6.0, 4
         init, upd = phase1_init_bits(n, q), phase1_update_bits(n, T, q)
         expected_phase1 = sum(
@@ -263,13 +282,13 @@ class TestRun:
         other = make_coloring(cycle_graph(5), 3)
         s = generate(other, 1.0, 1)
         with pytest.raises(ValueError):
-            run(m, s, [0, 1, 0, 1], SynchronousScheduler())
+            run(m, s, [0, 1, 0, 1], FixedDelayScheduler())
 
     def test_invalid_initial_state_rejected(self):
         m = make_coloring(cycle_graph(4), 3)
         s = generate(m, 1.0, 1)
         with pytest.raises(ValueError):
-            run(m, s, [0, 1, 0, 7], SynchronousScheduler())
+            run(m, s, [0, 1, 0, 7], FixedDelayScheduler())
 
     def test_custom_filter_without_edge_factors(self):
         # the filter-only path, the oracle's beta < f over every completion, must also couple exactly
@@ -353,7 +372,7 @@ class TestEventLoopInternals:
     def test_accept_advances_neighbor_progress_by_one(self):
         m = make_coloring(path_graph(2), 4)
         s = make_manual(1.0, [[0.3], []], proposals=[[2], []], coins=[[0.0], []], q=4)
-        sim = Simulation(m, s, [0, 1], SynchronousScheduler())
+        sim = Simulation(m, s, [0, 1], FixedDelayScheduler())
         result = sim.execute()
         assert result.final.tolist() == [2, 1]
         # j and known are indexed by neighbor slot; node 0 is node 1's slot 0
@@ -364,7 +383,7 @@ class TestEventLoopInternals:
         # node 0 proposes node 1's color, which coloring always rejects
         m = make_coloring(path_graph(2), 4)
         s = make_manual(1.0, [[0.3], []], proposals=[[1], []], coins=[[0.0], []], q=4)
-        sim = Simulation(m, s, [0, 1], SynchronousScheduler())
+        sim = Simulation(m, s, [0, 1], FixedDelayScheduler())
         assert sim.nodes[1].known[0] == [0, 1]  # the proposal, until a decision arrives
         assert sim.execute().final.tolist() == [0, 1]
         assert sim.nodes[1].j[0] == 2
@@ -373,7 +392,7 @@ class TestEventLoopInternals:
     def test_out_of_order_decision_detected(self):
         m = make_coloring(path_graph(2), 3)
         s = make_manual(1.0, [[], [0.2, 0.6]], proposals=[[], [1, 2]], coins=[[], [0.0, 0.0]], q=3)
-        sim = Simulation(m, s, [0, 1], SynchronousScheduler())
+        sim = Simulation(m, s, [0, 1], FixedDelayScheduler())
         node0 = sim.nodes[0]
         sim.enter_phase2(node0, 0.0)
         with pytest.raises(SimulationInvariantError, match="out of order"):
@@ -382,7 +401,7 @@ class TestEventLoopInternals:
     def test_surplus_decision_detected(self):
         m = make_coloring(path_graph(2), 3)
         s = make_manual(1.0, [[], [0.2]], proposals=[[], [1]], coins=[[], [0.0]], q=3)
-        sim = Simulation(m, s, [0, 1], SynchronousScheduler())
+        sim = Simulation(m, s, [0, 1], FixedDelayScheduler())
         sim.execute()
         with pytest.raises(SimulationInvariantError, match="surplus"):
             sim._apply_decision(sim.nodes[0], 0, True, 2, 9.0)
@@ -392,7 +411,7 @@ class TestEventLoopInternals:
         m = make_coloring(cycle_graph(3), 5)
         s = generate(m, 3.0, 8)
         monkeypatch.setattr(Simulation, "try_resolve", lambda self, node: None)
-        sim = Simulation(m, s, [0, 1, 2], SynchronousScheduler())
+        sim = Simulation(m, s, [0, 1, 2], FixedDelayScheduler())
         with pytest.raises(SimulationInvariantError, match="unresolved"):
             sim.execute()
         # only node 0 never resolves; an edge-factor node keeps only its edge
@@ -400,7 +419,7 @@ class TestEventLoopInternals:
         monkeypatch.setattr(Simulation, "try_resolve", lambda self, node: None if node.vid == 0 else resolve(self, node))
         m = make_coloring(cycle_graph(4), 3)
         s = generate(m, 3.0, 5)
-        sim = Simulation(m, s, [0, 1, 2, 1], SynchronousScheduler())
+        sim = Simulation(m, s, [0, 1, 2, 1], FixedDelayScheduler())
         with pytest.raises(SimulationInvariantError, match="unresolved") as err:
             sim.execute()
         node = sim.nodes[0]
@@ -414,7 +433,7 @@ class TestEventLoopInternals:
         # final pending decision must fire a resolution
         m = make_ising(cycle_graph(4), 0.8)
         s = generate(m, 4.0, 19)
-        res = run(m, s, [0, 1, 0, 1], SynchronousScheduler())
+        res = run(m, s, [0, 1, 0, 1], FixedDelayScheduler())
         assert len(res.resolutions) == s.total_updates
 
 
@@ -467,12 +486,12 @@ class TestParanoidCheck:
         m = SpinModel(cycle_graph(6), 3, np.full((6, 3), 1.0 / 3), filter_fn=_soft_filter)
         s = generate(m, 3.0, 4)
         y0 = [0, 1, 2, 0, 1, 2]
-        run(m, s, y0, SynchronousScheduler(), paranoid=True)
+        run(m, s, y0, FixedDelayScheduler(), paranoid=True)
         right = netsim.filter_range
         monkeypatch.setattr(netsim, "filter_range", lambda *args: tuple(0.5 * x for x in right(*args)))
-        run(m, s, y0, SynchronousScheduler())  # the fault itself raises nothing
+        run(m, s, y0, FixedDelayScheduler())  # the fault itself raises nothing
         with pytest.raises(SimulationInvariantError, match="resolution mismatch"):
-            run(m, s, y0, SynchronousScheduler(), paranoid=True)
+            run(m, s, y0, FixedDelayScheduler(), paranoid=True)
 
     @pytest.mark.parametrize("graph, beta, seed, fault", [
         (cycle_graph(6), 0.5, 4, lambda lo, hi: (0.5 * lo, 0.5 * hi)),
@@ -484,12 +503,12 @@ class TestParanoidCheck:
         m = make_ising(graph, beta)
         s = generate(m, 3.0, seed)
         y0 = [k % 2 for k in range(graph.n)]
-        run(m, s, y0, SynchronousScheduler(), paranoid=True)
+        run(m, s, y0, FixedDelayScheduler(), paranoid=True)
         right = netsim.edge_range
         monkeypatch.setattr(netsim, "edge_range", lambda *args: fault(*right(*args)))
-        run(m, s, y0, SynchronousScheduler())  # the fault itself raises nothing
+        run(m, s, y0, FixedDelayScheduler())  # the fault itself raises nothing
         with pytest.raises(SimulationInvariantError, match="resolution mismatch"):
-            run(m, s, y0, SynchronousScheduler(), paranoid=True)
+            run(m, s, y0, FixedDelayScheduler(), paranoid=True)
 
     def test_repeat_heavy_windows(self, monkeypatch):
         # q = 2 and long horizons: most windows hold a state more than once, and
@@ -527,7 +546,7 @@ class TestParanoidCheck:
         s = make_manual(1.0, [[0.5], [0.1, 0.2]], proposals=[[1], [2, 2]], coins=[[0.9], [0.9, 0.9]], q=3)
         assert np.array_equal(run_continuous(m, s, [0, 0]).final, [0, 0])
         with pytest.raises(ValueError, match=r"edge factor g\(v=0, u=1, .*b=2\)"):
-            run(m, s, [0, 0], SynchronousScheduler(), paranoid=paranoid)
+            run(m, s, [0, 0], FixedDelayScheduler(), paranoid=paranoid)
 
 
 class TestKnownStates:
@@ -563,7 +582,7 @@ class TestKnownStates:
             for pos, state in zip(s.order.tolist(), oracle.states):
                 history[s.update_at(pos).node].append(state)
             table = {(u, v): float(rng.choice([1e-3, 0.05, 1.0])) for a, b in g.edges() for u, v in ((a, b), (b, a))}
-            for sch in (SynchronousScheduler(), make_scheduler("uniform", seed=k), FixedDelayScheduler(table=table)):
+            for sch in (FixedDelayScheduler(), make_scheduler("uniform", seed=k), FixedDelayScheduler(table=table)):
                 res = run(m, s, y0, sch, collect_trace=True)
                 assert np.array_equal(res.final, oracle.final), (k, m.kind)
                 entry = res.stats.entry_times
@@ -628,7 +647,7 @@ class TestFilterOnly:
             return 1.0 if tau[0] == 0 else 0.0
 
         m = SpinModel(path_graph(3), 2, np.full((3, 2), 0.5), filter_fn=filt)
-        sim = Simulation(m, generate(m, 1.0, 0), [0, 0, 0], SynchronousScheduler())
+        sim = Simulation(m, generate(m, 1.0, 0), [0, 0, 0], FixedDelayScheduler())
         node = sim.nodes[1]
         node.i, node.beta, node.c_new, node.S = 1, 0.5, 1, [(0, 1), (0, 1)]
         assert sim.try_resolve(node) is None
@@ -713,7 +732,7 @@ class TestExactTies:
 class TestFastPaths:
     @staticmethod
     def _check_window_table(m, s):
-        sim = Simulation(m, s, [0] * m.n, SynchronousScheduler())
+        sim = Simulation(m, s, [0] * m.n, FixedDelayScheduler())
         checked = 0
         for v, node in enumerate(sim.nodes):
             for k, u in enumerate(m.graph.adj[v]):
@@ -836,7 +855,7 @@ class TestTraceReplay:
             else:
                 s = generate(m, 3.0, k)
             y0 = [0] * n
-            for scheduler in (make_scheduler("uniform", seed=k), SynchronousScheduler(), FixedDelayScheduler(1e-05)):
+            for scheduler in (make_scheduler("uniform", seed=k), FixedDelayScheduler(), FixedDelayScheduler(1e-05)):
                 res = run(m, s, y0, scheduler, collect_trace=True)
                 for rec in res.trace:
                     assert len(rec) == 4 + self.FIELDS[rec[1]], rec
@@ -858,7 +877,7 @@ class TestTraceReplay:
         # node 0's two-fragment info lands at 2.0, and its decision right behind it
         m = make_coloring(path_graph(2), 3)
         s = make_manual(1.0, [[0.5], []], proposals=[[2], []], coins=[[0.1], []], q=3)
-        res = run(m, s, [0, 1], SynchronousScheduler(), collect_trace=True)
+        res = run(m, s, [0, 1], FixedDelayScheduler(), collect_trace=True)
         init, upd = phase1_init_bits(2, 3), phase1_update_bits(2, 1.0, 3)
         assert res.trace == [
             (1.0, "info", 1, 0, 1, init, init), (1.0, "enter", -1, 0),
@@ -900,7 +919,7 @@ class TestSchedulers:
         assert len(uniform) == 2
         for k in range(1000):
             assert 0.0 < next(uniform[k % 2]) <= 1.0
-        for sch in (SynchronousScheduler(), make_scheduler("adversarial-max")):
+        for sch in (FixedDelayScheduler(), make_scheduler("adversarial-max")):
             assert [next(it) for it in sch.channels(pairs, 4) for _ in range(2)] == [1.0] * 4
 
     def test_uniform_channels_share_one_block(self):

@@ -44,6 +44,17 @@ def make_manual(T, times_by_node, proposals=None, coins=None, q=4, seed=0):
     return UpdateSchedule(T, seed, n, q, times, props, cns)
 
 
+def assert_dump_exact(text, s):
+    """dump's text, read back, gives s's header and every (node, index, time,
+    proposal, coin) bit for bit: floats are written by repr."""
+    header, *lines = text.splitlines()
+    n, T, seed = header.split()
+    assert (int(n), float(T), int(seed)) == (s.n, s.T, s.seed)
+    rows = [(int(v), int(i), float(t), int(p), float(b)) for v, i, t, p, b in map(str.split, lines)]
+    assert rows == [(v, i, t, p, b) for v in range(s.n) for i, t, p, b in
+                    zip(itertools.count(1), s.times[v].tolist(), s.proposals[v].tolist(), s.coins[v].tolist())]
+
+
 def tuple_keys(s):
     """(time, node, index) of every update in (node, index) order: the order key
     written out independently of UpdateSchedule."""
@@ -180,8 +191,7 @@ class TestGenerateSteps:
         s = generate_steps(make_hardcore(cycle_graph(5), 0.4), 60, 77)
         buf = io.StringIO()
         sched_mod.dump(s, buf)
-        buf.seek(0)
-        self.assert_same(sched_mod.load(buf, q=2), s)
+        assert_dump_exact(buf.getvalue(), s)
 
     def test_empty_graph_without_steps(self):
         s = generate_steps(make_coloring(empty_graph(0), 2), 0, 1)
@@ -255,24 +265,7 @@ class TestDumpLoad:
         s = generate(m, 12.0, 77)
         buf = io.StringIO()
         sched_mod.dump(s, buf)
-        buf.seek(0)
-        s2 = sched_mod.load(buf, q=2)
-        assert (s2.n, s2.T, s2.seed) == (s.n, s.T, s.seed)
-        for v in range(5):
-            assert np.array_equal(s.times[v], s2.times[v])
-            assert np.array_equal(s.proposals[v], s2.proposals[v])
-            assert np.array_equal(s.coins[v], s2.coins[v])
-
-    @pytest.mark.parametrize("T", ["nan", "inf", "-2.0"])
-    def test_load_rejects_bad_horizon(self, T):
-        # with no update to bound, the header's T was taken as it stood
-        with pytest.raises(ValueError, match=f"time horizon T must be finite and >= 0, got {T}"):
-            sched_mod.load(io.StringIO(f"3 {T} 1\n"), q=2)
-
-    def test_load_rejects_gapped_indices(self):
-        text = "2 1.0 0\n0 1 0.25 1 0.5\n0 3 0.75 1 0.5\n"
-        with pytest.raises(ValueError):
-            sched_mod.load(io.StringIO(text), q=2)
+        assert_dump_exact(buf.getvalue(), s)
 
 
 class TestScheduleValidation:
