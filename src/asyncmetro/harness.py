@@ -72,16 +72,29 @@ class ExperimentConfig:
     base_dir: Path = field(default_factory=Path)
 
 
+def _number(kind: type, section: str, key: str, text: str):
+    """kind(text) for kind int or float; a ConfigError naming [section] key otherwise."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"[{section}] {key} must be {what}, got {text.strip()!r}") from None
+
+
+def _int_list(section: str, key: str, text: str) -> list[int]:
+    """A comma- or space-separated list of ints."""
+    return [_number(int, section, key, x) for x in text.replace(",", " ").split()]
+
+
 def _parse_seed_spec(spec: str) -> list[int]:
     """Either "a:b" (inclusive range) or a comma list of ints."""
     spec = spec.strip()
     if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        lo, hi = int(lo), int(hi)
+        lo, hi = (_number(int, "experiment", "seeds", x) for x in spec.split(":", 1))
         if hi < lo:
             raise ConfigError(f"empty seed range {spec!r}")
         return list(range(lo, hi + 1))
-    return [int(x) for x in spec.replace(",", " ").split()]
+    return _int_list("experiment", "seeds", spec)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -117,7 +130,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if len(keys) != 1:
         raise ConfigError("[chain] give exactly one of T and steps_per_node")
     key = keys[0]
-    length = float(c[key])
+    length = _number(float, "chain", key, c[key])
     if not 0 <= length < math.inf:
         raise ConfigError(f"[chain] {key} must be finite and >= 0, got {length}")
 
@@ -126,7 +139,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if y0_policy == "fixed":
         if "y0_values" not in c:
             raise ConfigError("[chain] y0 = fixed needs y0_values")
-        y0_values = [int(x) for x in c["y0_values"].replace(",", " ").split()]
+        y0_values = _int_list("chain", "y0_values", c["y0_values"])
 
     policies = [p.strip() for p in s.get("policies", "synchronous").split(",")]
     for p in policies:
@@ -135,25 +148,25 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     cfg = ExperimentConfig(
         model_kind=kind,
-        q=int(m.get("q", "2")),
-        lam=float(m.get("lambda", "1.0")),
-        beta=float(m.get("beta", "0.0")),
+        q=_number(int, "model", "q", m.get("q", "2")),
+        lam=_number(float, "model", "lambda", m.get("lambda", "1.0")),
+        beta=_number(float, "model", "beta", m.get("beta", "0.0")),
         graph_kind=g.get("kind", "").strip().lower(),
-        graph_n=int(g.get("n", "0")),
-        graph_degree=int(g.get("degree", "0")),
-        graph_rows=int(g.get("rows", "0")),
-        graph_cols=int(g.get("cols", "0")),
-        graph_seed=int(g.get("seed", "0")),
+        graph_n=_number(int, "graph", "n", g.get("n", "0")),
+        graph_degree=_number(int, "graph", "degree", g.get("degree", "0")),
+        graph_rows=_number(int, "graph", "rows", g.get("rows", "0")),
+        graph_cols=_number(int, "graph", "cols", g.get("cols", "0")),
+        graph_seed=_number(int, "graph", "seed", g.get("seed", "0")),
         graph_path=g.get("path", "").strip(),
         T=length if key == "T" else None,
         steps_per_node=length if key != "T" else None,
         y0_policy=y0_policy,
         y0_values=y0_values,
         scheduler_policies=policies,
-        scheduler_seed=int(s.get("seed", "0")),
+        scheduler_seed=_number(int, "scheduler", "seed", s.get("seed", "0")),
         seeds=_parse_seed_spec(e.get("seeds", "1:10")),
-        n_grid=[int(x) for x in e.get("n_grid", "").replace(",", " ").split()] if e.get("n_grid") else [],
-        runs=int(e.get("runs", "1000")),
+        n_grid=_int_list("experiment", "n_grid", e.get("n_grid", "")),
+        runs=_number(int, "experiment", "runs", e.get("runs", "1000")),
         base_dir=path.parent,
     )
     for key, seed in (("[graph] seed", cfg.graph_seed), ("[scheduler] seed", cfg.scheduler_seed),

@@ -19,9 +19,11 @@ separate axis from the chain's Poisson time in [0, T].
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
@@ -307,6 +309,20 @@ class _Node:
         self.done = False
 
 
+@contextmanager
+def _collector_paused():
+    """Keep the cyclic garbage collector out of the block. The engine makes no
+    reference cycles, so a collection there finds nothing and only walks the
+    heap; the caller's enabled or disabled state is restored on every exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class Simulation:
     """One deterministic execution of the protocol for a fixed schedule.
 
@@ -319,6 +335,7 @@ class Simulation:
     descending order and drained by pop(); a send onto the vtime being drained (a
     delay below half an ulp of it) joins that bucket and re-sorts it."""
 
+    @_collector_paused()
     def __init__(
         self,
         model: SpinModel,
@@ -541,6 +558,7 @@ class Simulation:
 
     # -- main loop -----------------------------------------------------------
 
+    @_collector_paused()
     def execute(self) -> SimulationResult:
         if self._executed:
             raise RuntimeError("a Simulation instance runs exactly once")

@@ -109,16 +109,16 @@ def _poisson_times(rng: np.random.Generator, T: float) -> np.ndarray:
     """Rate-1 Poisson arrival times strictly inside (0, T)."""
     if T <= 0.0:
         return np.empty(0)
-    out: list[float] = []
+    blocks: list[np.ndarray] = []
     total = 0.0
     block = max(16, int(2 * T) + 8)
     while True:
         cs = total + np.cumsum(rng.exponential(1.0, block))
         stop = int(np.searchsorted(cs, T, side="left"))  # first arrival >= T
         if stop < block:
-            out.extend(cs[:stop].tolist())
-            return np.asarray(out)
-        out.extend(cs.tolist())
+            blocks.append(cs[:stop])
+            return np.concatenate(blocks)  # a copy, so no block's unused tail is kept
+        blocks.append(cs)
         total = float(cs[-1])
 
 
@@ -128,14 +128,15 @@ def generate(model: SpinModel, T: float, seed: int) -> UpdateSchedule:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     n, q = model.n, model.q
+    cdfs = np.cumsum(model.proposals, axis=1)  # row v is np.cumsum(model.proposals[v])
     times, proposals, coins = [], [], []
     for v in range(n):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), v)))
         t = _poisson_times(rng, T)
         m = len(t)
-        props = draw_proposals(np.cumsum(model.proposals[v]), rng.random(m), q)
+        props = draw_proposals(cdfs[v], rng.random(m), q)
         times.append(t)
-        proposals.append(props.astype(np.int64))
+        proposals.append(props.astype(np.int64, copy=False))
         coins.append(rng.random(m))
     return UpdateSchedule(T, int(seed), n, q, times, proposals, coins)
 

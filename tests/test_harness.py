@@ -356,6 +356,19 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error: [experiment] n_grid entries must be >= 1") and "Traceback" not in err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("q = 5", "q = x", "[model] q must be an integer, got 'x'"),
+        ("T = 3.0", "T = abc", "[chain] T must be a number, got 'abc'"),
+        ("seeds = 1:5", "seeds = 1:5\nn_grid = 8, x", "[experiment] n_grid must be an integer, got 'x'"),
+        ("seeds = 1:5", "seeds = 1:x", "[experiment] seeds must be an integer, got 'x'"),
+        ("seeds = 1:5", "seeds = 1:5\nruns = 1.5", "[experiment] runs must be an integer, got '1.5'"),
+    ], ids=["q", "T", "n_grid", "seeds", "runs"])
+    def test_non_numeric_entry_names_its_key(self, tmp_path, capsys, old, new, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(BASE_CONFIG.replace(old, new))
+        assert cli.main(["sweep", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("command", ["run", "verify-coupling", "tv-test", "dump-schedule"])
     def test_steps_per_node_schedules(self, tmp_path, monkeypatch, command):
         built = []

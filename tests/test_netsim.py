@@ -1,10 +1,14 @@
 """Protocol simulation: possible states, thresholds, coupling, accounting."""
 
+import contextlib
+import gc
 import hashlib
+import inspect
 import io
 import itertools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -912,6 +916,17 @@ class TestTraceReplay:
             replay_trace(io.StringIO(f"0.0 enter -1 0\n{bad}\n0.0 term -1 0\n"))
 
 
+class _ShortStreams(Scheduler):
+    # every channel's stream ends after one delay, within the Phase-I fragments
+    def channels(self, pairs, count):
+        return [itertools.repeat(0.5, 1) for _ in pairs]
+
+
+class _TooFewStreams(Scheduler):
+    def channels(self, pairs, count):
+        return [itertools.repeat(1.0)] * (len(pairs) - 1)
+
+
 class TestSchedulers:
     def test_delay_ranges(self):
         pairs = [(0, 1), (1, 0)]
@@ -967,13 +982,9 @@ class TestSchedulers:
             run(m, s, [0, 1], Short())
 
     def test_one_stream_per_channel_required(self):
-        class Short(Scheduler):
-            def channels(self, pairs, count):
-                return [itertools.repeat(1.0)] * (len(pairs) - 1)
-
         m = make_coloring(path_graph(3), 3)
         with pytest.raises(ValueError, match="3 delay streams for 4 channels"):
-            Simulation(m, generate(m, 1.0, 1), [0, 1, 0], Short())
+            Simulation(m, generate(m, 1.0, 1), [0, 1, 0], _TooFewStreams())
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
@@ -1022,3 +1033,80 @@ class TestSchedulers:
         for _ in range(count):
             ref.random()
         assert sch._rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.fixture
+def collections():
+    """The generations of the cyclic collections that start inside Simulation(...) or
+    execute(), found on the stack through gc.callbacks; the collector's state is restored."""
+    engine = {inspect.unwrap(f).__code__ for f in (Simulation.__init__, Simulation.execute)}
+    inside = []
+
+    def record(phase, info):
+        frame = sys._getframe(1)
+        while phase == "start" and frame is not None:
+            if frame.f_code in engine:
+                inside.append(info["generation"])
+                break
+            frame = frame.f_back
+
+    enabled = gc.isenabled()
+    gc.callbacks.append(record)
+    try:
+        yield inside
+    finally:
+        gc.callbacks.remove(record)
+        (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    # the engine keeps the cyclic garbage collector out of Simulation(...) and execute()
+
+    def test_no_collection_inside_the_engine(self, collections):
+        g = random_regular_graph(256, 4, seed=1)
+        m = make_coloring(g, 16)
+        s, y0 = generate(m, 10.0, 1), greedy_coloring(g, 16)
+
+        class CollectOnce(Scheduler):  # the record sees a collection that the engine's code starts
+            def channels(self, pairs, count):
+                def first():
+                    gc.collect(0)
+                    yield from itertools.repeat(1.0)
+                return [first() if k == 0 else itertools.repeat(1.0) for k in range(len(pairs))]
+
+        gc.enable()
+        Simulation(m, s, y0, CollectOnce()).execute()
+        assert collections == [0]
+        collections.clear()
+        sim = Simulation(m, s, y0, make_scheduler("uniform", seed=1))
+        res = sim.execute()
+        assert collections == [] and gc.isenabled()
+        # a tuple per message: with the collector on, the gen-0 threshold (700) would be passed often
+        assert res.stats.decision_messages > 10 * gc.get_threshold()[0]
+
+    @pytest.mark.parametrize("scheduler, error", [
+        (FixedDelayScheduler(), None),
+        (FixedDelayScheduler(1.0, {(0, 1): 2.0}), re.escape("delay 2.0 outside (0, 1]")),
+        (_ShortStreams(), "ended before the run's messages were sent"),
+        (_TooFewStreams(), "3 delay streams for 4 channels"),  # raised by Simulation(...)
+    ], ids=["normal", "table-delay-2.0", "stream-ends-early", "too-few-streams"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_caller_state_restored(self, collections, scheduler, error, enabled):
+        (gc.enable if enabled else gc.disable)()
+        m = make_coloring(path_graph(3), 3)
+        with pytest.raises(ValueError, match=error) if error else contextlib.nullcontext():
+            run(m, generate(m, 2.0, 1), [0, 1, 0], scheduler)
+        assert gc.isenabled() == enabled
+
+    def test_run_leaves_no_cyclic_garbage(self):
+        g = cycle_graph(8)
+        models = (make_coloring(g, 4), make_hardcore(g, 1.0), make_ising(g, 0.3),
+                  SpinModel(g, 3, np.full((8, 3), 1.0 / 3), filter_fn=_soft_filter))
+        cells = [(m, generate(m, 4.0, 2), [k % 2 if m.kind != "hardcore" else 0 for k in range(8)])
+                 for m in models]
+        gc.collect()
+        for m, s, y0 in cells:
+            res = run(m, s, y0, make_scheduler("uniform", seed=3))
+            assert np.array_equal(res.final, run_continuous(m, s, y0).final)
+        del res
+        assert gc.collect() == 0

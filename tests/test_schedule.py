@@ -116,6 +116,38 @@ class TestGenerate:
             assert np.array_equal(small.proposals[v], large.proposals[v])
             assert np.array_equal(small.coins[v], large.coins[v])
 
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_poisson_times_across_blocks(self, seed):
+        # gaps a tenth of the mean make _poisson_times draw block after block; its arrivals
+        # must equal those of the list accumulation it replaced, bit for bit
+        T = 10.0
+
+        class SmallGaps:  # stands in for the node's generator; records each block it draws
+            def __init__(self):
+                self.rng, self.blocks = np.random.default_rng(seed), 0
+
+            def exponential(self, scale, size):
+                self.blocks += 1
+                return 0.1 * self.rng.exponential(scale, size)
+
+        stub = SmallGaps()
+        got = sched_mod._poisson_times(stub, T)
+        assert stub.blocks >= 3
+        expected, total, ref = [], 0.0, SmallGaps()
+        block = max(16, int(2 * T) + 8)
+        while True:
+            cs = total + np.cumsum(ref.exponential(1.0, block))
+            stop = int(np.searchsorted(cs, T, side="left"))
+            if stop < block:
+                expected.extend(cs[:stop].tolist())
+                break
+            expected.extend(cs.tolist())
+            total = float(cs[-1])
+        expected = np.asarray(expected)
+        assert got.dtype == expected.dtype == np.float64
+        assert got.tobytes() == expected.tobytes() and ref.blocks == stub.blocks
+        assert got[0] > 0.0 and got[-1] < T and np.all(np.diff(got) > 0)
+
     def test_gaps_fit_exponential(self):
         # KS test on one node's inter-arrival gaps over a long horizon
         m = make_coloring(empty_graph(1), 2)
