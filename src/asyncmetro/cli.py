@@ -9,8 +9,9 @@ takes an exported event-trace file. CSV schemas:
   sweep          n,seed,makespan,phase1_end,max_residence,max_chain_length,
                  messages,bits  (plus trailing '# fit ...' comment lines)
 
-Exit codes: 0 success, 1 coupling mismatch, 2 invalid config or infeasible
-input. Worker-pool size comes from the ASYNCMETRO_WORKERS env variable.
+Exit codes: 0 success, 1 coupling mismatch, 2 invalid config, infeasible
+input or a run too large to allocate (e.g. a huge T). Worker-pool size comes
+from the ASYNCMETRO_WORKERS env variable.
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ def main(argv: list[str] | None = None) -> int:
     except netsim.SimulationInvariantError as exc:
         print(f"simulation invariant violated: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError, OSError) as exc:  # OSError: an output file cannot be opened
+    # OSError: an output file cannot be opened; MemoryError: numpy cannot allocate the run's arrays
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

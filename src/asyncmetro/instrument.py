@@ -27,31 +27,29 @@ def chain_lengths(result: SimulationResult) -> np.ndarray:
     n, counts, starts = schedule.n, schedule.counts, schedule.starts
     lengths = [0] * schedule.total_updates
     earlier, later = [], []  # positions of the triggers, and of the updates they fired
-    for res in result.resolutions:
-        v, i = res.node, res.index
+    for v, i, _, _, trigger in result.resolutions:
         if not (0 <= v < n and 0 < i <= counts[v]):
             raise SimulationInvariantError(f"resolution of unscheduled update ({v},{i})")
         pos = starts[v] + i - 1
         if lengths[pos]:
             raise SimulationInvariantError(f"update {UpdateId(v, i)} resolved twice")
         # the update before on the chain: the trigger, else the node's previous update
-        if res.trigger is not None:
-            u, k = res.trigger
+        if trigger is not None:
+            u, k = trigger
+            # an unscheduled trigger reads the still empty entry of pos
+            ppos = starts[u] + k - 1 if 0 <= u < n and 0 < k <= counts[u] else pos
+            earlier.append(ppos)
+            later.append(pos)
         elif i > 1:
-            u, k = v, i - 1
+            u, k, ppos = v, i - 1, pos - 1
         else:
             lengths[pos] = 1
             continue
-        # an unscheduled predecessor reads the still empty entry of pos
-        ppos = starts[u] + k - 1 if 0 <= u < n and 0 < k <= counts[u] else pos
         if not lengths[ppos]:
             raise SimulationInvariantError(
                 f"update {UpdateId(v, i)} recorded before its predecessor ({u},{k}) (causal order)"
             )
         lengths[pos] = lengths[ppos] + 1
-        if res.trigger is not None:
-            earlier.append(ppos)
-            later.append(pos)
     if 0 in lengths:
         raise SimulationInvariantError("update (%d,%d) missing from the trace" % schedule.update_at(lengths.index(0)))
     rank = schedule.rank

@@ -367,7 +367,7 @@ class Simulation:
             raise ValueError(f"scheduler gave {len(dly)} delay streams for {starts[-1]} channels")
         self.nodes = [
             _Node(v, adj[v], props_l[v], coins_l[v], self.y0, known,
-                  [np.searchsorted(ranks[u], ranks[v]).tolist() for u in adj[v]],
+                  [ranks[u].searchsorted(ranks[v]).tolist() for u in adj[v]],
                   [slot_of[u][v] for u in adj[v]], dly[starts[v] : starts[v + 1]])
             for v in range(model.n)
         ]

@@ -590,6 +590,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: [chain] {key}") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["run", "dump-schedule"])
+    def test_unallocatable_horizon_exits_2(self, tmp_path, capsys, command):
+        # the first block of gaps would take 142 PiB, beyond any 64-bit address
+        # space, so numpy fails at once and touches no memory
+        path = tmp_path / "big.ini"
+        path.write_text(BASE_CONFIG.replace("n = 6", "n = 4").replace("T = 3.0", "T = 1e16"))
+        assert cli.main([command, str(path), "-o", str(tmp_path / "out.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+
     @pytest.mark.parametrize("old, new, key", [
         ("kind = cycle\nn = 6", "kind = random-regular\nn = 8\ndegree = 3\nseed = -1", "[graph] seed"),
         ("seed = 4", "seed = -4", "[scheduler] seed"),

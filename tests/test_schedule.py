@@ -10,6 +10,7 @@ from scipy import stats as scistats
 
 from asyncmetro import (
     Graph,
+    SpinModel,
     UpdateId,
     UpdateSchedule,
     cycle_graph,
@@ -73,6 +74,77 @@ def order_cases():
     schedules += [make_manual(2.0, [grid[rng.random(4) < 0.6] for _ in range(5)]) for _ in range(10)]
     schedules.append(make_manual(1.0, []))
     return schedules
+
+
+def reference_poisson_times(rng, T):
+    """Rate-1 Poisson arrivals in (0, T), drawn block by block as one loop."""
+    if T <= 0.0:
+        return np.empty(0)
+    blocks, total = [], 0.0
+    block = max(16, int(2 * T) + 8)
+    while True:
+        cs = total + np.cumsum(rng.exponential(1.0, block))
+        stop = int(np.searchsorted(cs, T, side="left"))
+        if stop < block:
+            blocks.append(cs[:stop])
+            return np.concatenate(blocks)
+        blocks.append(cs)
+        total = float(cs[-1])
+
+
+def reference_proposals(cdf, uniforms, q):
+    return np.minimum(np.searchsorted(cdf, uniforms, side="right"), q - 1).astype(np.int64)
+
+
+def reference_generate(model, T, seed):
+    """generate as a per-node loop: node v's own stream draws its times, then m
+    proposal uniforms, then m coins, and its proposals are the inverse CDF of its row."""
+    cdfs = np.cumsum(model.proposals, axis=1)
+    times, proposals, coins = [], [], []
+    for v in range(model.n):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, v)))
+        t = reference_poisson_times(rng, T)
+        times.append(t)
+        proposals.append(reference_proposals(cdfs[v], rng.random(len(t)), model.q))
+        coins.append(rng.random(len(t)))
+    return UpdateSchedule(T, seed, model.n, model.q, times, proposals, coins)
+
+
+def reference_generate_steps(model, N, seed):
+    """generate_steps with a per-node proposal draw."""
+    n = model.n
+    if n == 0:
+        return UpdateSchedule(0.0, seed, 0, model.q, [], [], [])
+    rng = np.random.default_rng(seed)
+    arrivals = np.cumsum(rng.exponential(1.0 / n, N + 1))
+    nodes = rng.integers(n, size=N)
+    uniforms, coins = rng.random(N), rng.random(N)
+    by_node = np.argsort(nodes, kind="stable")
+    cuts = np.cumsum(np.bincount(nodes, minlength=n))[:-1]
+    times, uniforms, coins = (np.split(a[by_node], cuts) for a in (arrivals[:N], uniforms, coins))
+    cdfs = np.cumsum(model.proposals, axis=1)
+    proposals = [reference_proposals(cdfs[v], u, model.q) for v, u in enumerate(uniforms)]
+    return UpdateSchedule(arrivals[N], seed, n, model.q, times, proposals, coins)
+
+
+def assert_bit_identical(got, want):
+    """Same header and counts, and every per-node array equal in bytes, dtype and writeability."""
+    assert (got.n, got.q, got.T, got.seed, got.counts) == (want.n, want.q, want.T, want.seed, want.counts)
+    for field in ("times", "proposals", "coins"):
+        for a, b in zip(getattr(got, field), getattr(want, field), strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+            assert a.flags.writeable == b.flags.writeable, field
+
+
+def draw_models(n):
+    """The built-in models, and a custom one whose proposal rows differ by node,
+    with runs of equal rows and rows that recur apart."""
+    g = cycle_graph(n) if n >= 3 else empty_graph(n)
+    rows = np.random.default_rng(n).random((n, 4)) + 0.05
+    rows[1:3] = rows[:1]
+    rows[5::4] = rows[:1]
+    custom = SpinModel(g, 4, rows / rows.sum(axis=1, keepdims=True), filter_fn=lambda *a: 0.5)
+    return [make_coloring(g, 3), make_hardcore(g, 0.7), make_ising(g, 0.4), custom]
 
 
 class TestGenerate:
@@ -148,6 +220,27 @@ class TestGenerate:
         assert got.tobytes() == expected.tobytes() and ref.blocks == stub.blocks
         assert got[0] > 0.0 and got[-1] < T and np.all(np.diff(got) > 0)
 
+    @pytest.mark.parametrize("n", [0, 1, 12])
+    def test_matches_per_node_loop(self, n):
+        for model in draw_models(n):
+            for T in (0.0, 0.3, 20.0):
+                for seed in (0, 1, 29, 2**32, 2**100 + 9):
+                    assert_bit_identical(generate(model, T, seed), reference_generate(model, T, seed))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96, 2**130 + 7])
+    def test_node_states_match_numpy_seeding(self, seed):
+        # seeds of one to five 32-bit words: up to four fill SeedSequence's pool, the rest mix in after
+        states = list(sched_mod._node_states(seed, 70))
+        assert states == [np.random.PCG64(np.random.SeedSequence(entropy=(seed, v))).state for v in range(70)]
+        assert list(sched_mod._node_states(seed, 0)) == []
+
+    def test_matches_per_node_loop_past_first_block(self):
+        # node 1121 has 16 arrivals before 4.49, which use up its first 16-gap block
+        model = make_coloring(cycle_graph(2048), 3)
+        s = generate(model, 4.49, 3)
+        assert s.counts[1121] == max(16, int(2 * 4.49) + 8)
+        assert_bit_identical(s, reference_generate(model, 4.49, 3))
+
     def test_gaps_fit_exponential(self):
         # KS test on one node's inter-arrival gaps over a long horizon
         m = make_coloring(empty_graph(1), 2)
@@ -202,6 +295,15 @@ class TestGenerateSteps:
             res = run(m, s, y0, make_scheduler(policy, seed=k), paranoid=True)
             assert np.array_equal(res.final, run_continuous(m, s, y0).final)
             phase2_residence(res, verify=True)
+
+    @pytest.mark.parametrize("n", [1, 12])
+    def test_matches_per_node_draw(self, n):
+        for model in draw_models(n):
+            for N in (0, 1, 40, 300):
+                for seed in (0, 8):
+                    assert_bit_identical(generate_steps(model, N, seed), reference_generate_steps(model, N, seed))
+        empty = make_coloring(empty_graph(0), 2)
+        assert_bit_identical(generate_steps(empty, 0, 4), reference_generate_steps(empty, 0, 4))
 
     def test_node_counts_are_uniform(self):
         s = generate_steps(make_coloring(empty_graph(50), 3), 20_000, 5)
