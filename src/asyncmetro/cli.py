@@ -74,11 +74,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = harness.load_config(args.config)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         with _out(args.output) as out:
             if args.command == "run":
                 if args.finals:
@@ -96,8 +91,11 @@ def main(argv: list[str] | None = None) -> int:
     except netsim.SimulationInvariantError as exc:
         print(f"simulation invariant violated: {exc}", file=sys.stderr)
         return 1
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     # OSError: an output file cannot be opened; MemoryError: numpy cannot allocate the run's arrays
-    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -136,8 +136,8 @@ def read_edge_list(path: str | Path) -> Graph:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'u v', got {line!r}")
+            if len(parts) != 2 or not all(p.isdecimal() for p in parts) or int(parts[0]) == int(parts[1]):
+                raise ValueError(f"{path}:{lineno}: expected 'u v' of two distinct node ids >= 0, got {line!r}")
             u, v = int(parts[0]), int(parts[1])
             edges.append((u, v))
             top = max(top, u, v)

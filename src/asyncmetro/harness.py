@@ -13,7 +13,8 @@ import configparser
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
 from typing import IO
@@ -36,65 +37,71 @@ class ConfigError(ValueError):
     pass
 
 
-# every key load_config reads, per section, in any case; [DEFAULT] would reach every section
-CONFIG_KEYS = {
-    "DEFAULT": (),
-    "model": ("kind", "q", "lambda", "beta"),
-    "graph": ("kind", "n", "degree", "rows", "cols", "seed", "path"),
-    "chain": ("T", "steps_per_node", "y0", "y0_values"),
-    "scheduler": ("policies", "seed"),
-    "experiment": ("seeds", "n_grid", "runs"),
-}
-
-
-@dataclass
-class ExperimentConfig:
-    model_kind: str
-    q: int
-    lam: float
-    beta: float
-    graph_kind: str
-    graph_n: int
-    graph_degree: int
-    graph_rows: int
-    graph_cols: int
-    graph_seed: int
-    graph_path: str
-    T: float | None               # the Poisson horizon; None when steps_per_node is set
-    steps_per_node: float | None  # S: exactly round(S * n) updates per run
-    y0_policy: str
-    y0_values: list[int] | None
-    scheduler_policies: list[str]
-    scheduler_seed: int
-    seeds: list[int]
-    n_grid: list[int]
-    runs: int
-    base_dir: Path = field(default_factory=Path)
-
-
-def _number(kind: type, section: str, key: str, text: str):
-    """kind(text) for kind int or float; a ConfigError naming [section] key otherwise."""
+def _number(kind: type, text: str):
+    """kind(text) for kind int or float; a ValueError naming the token otherwise."""
     try:
         return kind(text)
     except ValueError:
         what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"[{section}] {key} must be {what}, got {text.strip()!r}") from None
+        raise ValueError(f"must be {what}, got {text.strip()!r}") from None
 
 
-def _int_list(section: str, key: str, text: str) -> list[int]:
+_int = partial(_number, int)
+_float = partial(_number, float)
+
+
+def _ints(text: str) -> list[int]:
     """A comma- or space-separated list of ints."""
-    return [_number(int, section, key, x) for x in text.replace(",", " ").split()]
+    return [_int(x) for x in text.replace(",", " ").split()]
 
 
-def _parse_seed_spec(spec: str) -> list[int]:
+def _seeds(spec: str) -> list[int]:
     """Either "a:b" (inclusive range) or a comma list of ints."""
-    spec = spec.strip()
-    if ":" in spec:
-        lo, hi = (_number(int, "experiment", "seeds", x) for x in spec.split(":", 1))
-        if hi < lo:
-            raise ConfigError(f"empty seed range {spec!r}")
-        return list(range(lo, hi + 1))
-    return _int_list("experiment", "seeds", spec)
+    if ":" not in spec:
+        return _ints(spec)
+    lo, hi = (_int(x) for x in spec.split(":", 1))
+    if hi < lo:
+        raise ValueError(f"range {spec.strip()!r} is empty")
+    return list(range(lo, hi + 1))
+
+
+def _word(text: str) -> str:
+    return text.strip().lower()
+
+
+def _names(text: str) -> list[str]:
+    return [p.strip() for p in text.split(",")]
+
+
+def _key(section: str, key: str, parse, default: str | None):
+    """A field that load_config reads from `key` in [section] as parse(text). An absent
+    key reads as the default text; a default of None leaves the field None."""
+    return field(metadata={"config": (section, key, parse, default)})
+
+
+@dataclass
+class ExperimentConfig:
+    model_kind: str = _key("model", "kind", _word, "")
+    q: int = _key("model", "q", _int, "2")
+    lam: float = _key("model", "lambda", _float, "1.0")
+    beta: float = _key("model", "beta", _float, "0.0")
+    graph_kind: str = _key("graph", "kind", _word, "")
+    graph_n: int = _key("graph", "n", _int, "0")
+    graph_degree: int = _key("graph", "degree", _int, "0")
+    graph_rows: int = _key("graph", "rows", _int, "0")
+    graph_cols: int = _key("graph", "cols", _int, "0")
+    graph_seed: int = _key("graph", "seed", _int, "0")
+    graph_path: str = _key("graph", "path", str.strip, "")
+    T: float | None = _key("chain", "T", _float, None)  # the Poisson horizon; None when steps_per_node is set
+    steps_per_node: float | None = _key("chain", "steps_per_node", _float, None)  # S: exactly round(S * n) updates
+    y0_policy: str = _key("chain", "y0", _word, "default")
+    y0_values: list[int] | None = _key("chain", "y0_values", _ints, None)
+    scheduler_policies: list[str] = _key("scheduler", "policies", _names, "synchronous")
+    scheduler_seed: int = _key("scheduler", "seed", _int, "0")
+    seeds: list[int] = _key("experiment", "seeds", _seeds, "1:10")
+    n_grid: list[int] = _key("experiment", "n_grid", _ints, "")
+    runs: int = _key("experiment", "runs", _int, "1000")
+    base_dir: Path = field(default_factory=Path)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -105,70 +112,44 @@ def load_config(path: str | Path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config: {exc}") from None
+    keys: dict[str, list[str]] = {"DEFAULT": []}  # a key under [DEFAULT] would reach every section
+    values = {}
+    for f in fields(ExperimentConfig):
+        if "config" not in f.metadata:
+            continue
+        section, key, parse, default = f.metadata["config"]
+        keys.setdefault(section, []).append(key)
+        text = parser.get(section, key, fallback=default)
+        try:
+            values[f.name] = None if text is None else parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} {exc}") from None
+        except (OverflowError, MemoryError):  # a seed range too long to list
+            raise ConfigError(f"[{section}] {key} is too large to hold in memory, got {text.strip()!r}") from None
     for name, section in parser.items():  # [DEFAULT] first
-        if name not in CONFIG_KEYS:
-            raise ConfigError(f"unknown config section [{name}]; sections are {', '.join(CONFIG_KEYS)}")
-        unknown = [k for k in section if k not in [key.lower() for key in CONFIG_KEYS[name]]]
+        if name not in keys:
+            raise ConfigError(f"unknown config section [{name}]; sections are {', '.join(keys)}")
+        unknown = [k for k in section if k not in [key.lower() for key in keys[name]]]
         if unknown:
-            raise ConfigError(f"[{name}] unknown key(s) {', '.join(unknown)}; keys are {', '.join(CONFIG_KEYS[name])}")
-    try:
-        m = parser["model"]
-        g = parser["graph"]
-        c = parser["chain"]
-    except KeyError as exc:
-        raise ConfigError(f"missing config section {exc}") from None
-    s = parser["scheduler"] if parser.has_section("scheduler") else {}
-    e = parser["experiment"] if parser.has_section("experiment") else {}
-
-    kind = m.get("kind", "").strip().lower()
-    if kind not in ("coloring", "hardcore", "ising"):
-        raise ConfigError(f"[model] kind must be coloring|hardcore|ising, got {kind!r}")
-
-    keys = [k for k in ("T", "steps_per_node") if k in c]
-    if len(keys) != 1:
+            raise ConfigError(f"[{name}] unknown key(s) {', '.join(unknown)}; keys are {', '.join(keys[name])}")
+    for name in ("model", "graph", "chain"):
+        if not parser.has_section(name):
+            raise ConfigError(f"missing config section {name!r}")
+    cfg = ExperimentConfig(**values, base_dir=path.parent)
+    if cfg.model_kind not in ("coloring", "hardcore", "ising"):
+        raise ConfigError(f"[model] kind must be coloring|hardcore|ising, got {cfg.model_kind!r}")
+    if (cfg.T is None) == (cfg.steps_per_node is None):
         raise ConfigError("[chain] give exactly one of T and steps_per_node")
-    key = keys[0]
-    length = _number(float, "chain", key, c[key])
+    key, length = ("T", cfg.T) if cfg.steps_per_node is None else ("steps_per_node", cfg.steps_per_node)
     if not 0 <= length < math.inf:
         raise ConfigError(f"[chain] {key} must be finite and >= 0, got {length}")
-
-    y0_policy = c.get("y0", "default").strip().lower()
-    y0_values = None
-    if y0_policy == "fixed":
-        if "y0_values" not in c:
-            raise ConfigError("[chain] y0 = fixed needs y0_values")
-        y0_values = _int_list("chain", "y0_values", c["y0_values"])
-
-    policies = [p.strip() for p in s.get("policies", "synchronous").split(",")]
-    for p in policies:
+    if cfg.y0_policy == "fixed" and cfg.y0_values is None:
+        raise ConfigError("[chain] y0 = fixed needs y0_values")
+    for p in cfg.scheduler_policies:
         if p not in netsim.SCHEDULER_POLICIES:
             raise ConfigError(f"unknown scheduler policy {p!r}")
-
-    cfg = ExperimentConfig(
-        model_kind=kind,
-        q=_number(int, "model", "q", m.get("q", "2")),
-        lam=_number(float, "model", "lambda", m.get("lambda", "1.0")),
-        beta=_number(float, "model", "beta", m.get("beta", "0.0")),
-        graph_kind=g.get("kind", "").strip().lower(),
-        graph_n=_number(int, "graph", "n", g.get("n", "0")),
-        graph_degree=_number(int, "graph", "degree", g.get("degree", "0")),
-        graph_rows=_number(int, "graph", "rows", g.get("rows", "0")),
-        graph_cols=_number(int, "graph", "cols", g.get("cols", "0")),
-        graph_seed=_number(int, "graph", "seed", g.get("seed", "0")),
-        graph_path=g.get("path", "").strip(),
-        T=length if key == "T" else None,
-        steps_per_node=length if key != "T" else None,
-        y0_policy=y0_policy,
-        y0_values=y0_values,
-        scheduler_policies=policies,
-        scheduler_seed=_number(int, "scheduler", "seed", s.get("seed", "0")),
-        seeds=_parse_seed_spec(e.get("seeds", "1:10")),
-        n_grid=_int_list("experiment", "n_grid", e.get("n_grid", "")),
-        runs=_number(int, "experiment", "runs", e.get("runs", "1000")),
-        base_dir=path.parent,
-    )
     for key, seed in (("[graph] seed", cfg.graph_seed), ("[scheduler] seed", cfg.scheduler_seed),
                       ("[experiment] seeds", min(cfg.seeds, default=0))):
         if seed < 0:  # numpy's and schedule.generate's own errors name no key
@@ -230,12 +211,11 @@ def initial_configuration(cfg: ExperimentConfig, model: SpinModel) -> np.ndarray
         except ValueError as exc:
             raise ConfigError(f"{exc}; use y0 = fixed or zeros") from None
     if policy == "fixed":
-        vals = np.asarray(cfg.y0_values, dtype=np.int64)
-        if len(vals) != model.n:
-            raise ConfigError(f"y0_values has length {len(vals)}, graph has {model.n} nodes")
-        if vals.min() < 0 or vals.max() >= model.q:
+        if len(cfg.y0_values) != model.n:
+            raise ConfigError(f"y0_values has length {len(cfg.y0_values)}, graph has {model.n} nodes")
+        if not all(0 <= x < model.q for x in cfg.y0_values):  # on Python ints, before an int64 cast can overflow
             raise ConfigError(f"y0_values out of range 0..{model.q - 1}")
-        return vals
+        return np.asarray(cfg.y0_values, dtype=np.int64)
     raise ConfigError(f"unknown y0 policy {cfg.y0_policy!r}")
 
 

@@ -63,6 +63,47 @@ seeds = 1:3
 runs = 20
 """
 
+# every key of every section, each away from its default
+EVERY_KEY_CONFIG = """\
+[model]
+kind = hardcore
+q = 7
+lambda = 2.5
+beta = 0.25
+
+[graph]
+kind = grid
+n = 9
+degree = 3
+rows = 2
+cols = 5
+seed = 11
+path = g.txt
+
+[chain]
+T = 4.5
+y0 = fixed
+y0_values = 1 0 1
+
+[scheduler]
+policies = uniform, adversarial-max
+seed = 13
+
+[experiment]
+seeds = 3, 5
+n_grid = 4, 16
+runs = 17
+"""
+
+# the keys load_config reads, per section, in the order its errors list them
+DECLARED_KEYS = {
+    "model": ["kind", "q", "lambda", "beta"],
+    "graph": ["kind", "n", "degree", "rows", "cols", "seed", "path"],
+    "chain": ["T", "steps_per_node", "y0", "y0_values"],
+    "scheduler": ["policies", "seed"],
+    "experiment": ["seeds", "n_grid", "runs"],
+}
+
 
 @pytest.fixture
 def config_path(tmp_path):
@@ -116,6 +157,38 @@ class TestLoadConfig:
         path = tmp_path / "s.ini"
         path.write_text(BASE_CONFIG.replace("seeds = 1:5", "seeds = 3, 9, 27"))
         assert harness.load_config(path).seeds == [3, 9, 27]
+
+    def test_every_declared_key_is_read(self, tmp_path):
+        path = tmp_path / "all.ini"
+        path.write_text(EVERY_KEY_CONFIG)
+        expected = dict(
+            model_kind="hardcore", q=7, lam=2.5, beta=0.25, graph_kind="grid", graph_n=9, graph_degree=3,
+            graph_rows=2, graph_cols=5, graph_seed=11, graph_path="g.txt", T=4.5, steps_per_node=None,
+            y0_policy="fixed", y0_values=[1, 0, 1], scheduler_policies=["uniform", "adversarial-max"],
+            scheduler_seed=13, seeds=[3, 5], n_grid=[4, 16], runs=17, base_dir=tmp_path,
+        )
+        assert dataclasses.asdict(harness.load_config(path)) == expected
+        path.write_text(EVERY_KEY_CONFIG.replace("T = 4.5", "steps_per_node = 1.5"))
+        assert dataclasses.asdict(harness.load_config(path)) == {**expected, "T": None, "steps_per_node": 1.5}
+        # a config of the required keys alone differs from both in every field read from a key
+        path.write_text("[model]\nkind = coloring\n[graph]\n[chain]\nT = 1\n")
+        defaults = dataclasses.asdict(harness.load_config(path))
+        assert [k for k, v in expected.items() if defaults[k] == v] == ["steps_per_node", "base_dir"]
+
+    @pytest.mark.parametrize("section", DECLARED_KEYS)
+    def test_unknown_key_lists_its_section_keys(self, tmp_path, section):
+        path = tmp_path / "bad.ini"
+        path.write_text(BASE_CONFIG.replace(f"[{section}]\n", f"[{section}]\nbogus = 1\n"))
+        with pytest.raises(ConfigError) as info:
+            harness.load_config(path)
+        assert str(info.value) == f"[{section}] unknown key(s) bogus; keys are {', '.join(DECLARED_KEYS[section])}"
+
+    def test_unknown_section_lists_the_sections(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text(BASE_CONFIG + "[extra]\n")
+        with pytest.raises(ConfigError) as info:
+            harness.load_config(path)
+        assert str(info.value) == f"unknown config section [extra]; sections are DEFAULT, {', '.join(DECLARED_KEYS)}"
 
 
 class TestBuilders:
@@ -589,6 +662,22 @@ class TestCli:
         assert cli.main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: [chain] {key}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("seeds = 1:5", "seeds = 0:99999999999999",
+         "[experiment] seeds is too large to hold in memory, got '0:99999999999999'"),
+        ("seeds = 1:5", "seeds = 0:99999999999999999999999",
+         "[experiment] seeds is too large to hold in memory, got '0:99999999999999999999999'"),
+        ("T = 3.0", "T = 3.0\ny0 = fixed\ny0_values = 0 1 2 3 4 99999999999999999999999",
+         "y0_values out of range 0..4"),
+    ], ids=["seed-range-unallocatable", "seed-range-past-ssize_t", "y0-value-past-int64"])
+    def test_oversized_config_value_exits_2(self, tmp_path, capsys, old, new, message):
+        # the first range would take 800 TB as a list, beyond any 64-bit address
+        # space, so the allocation fails at once and touches no memory
+        path = tmp_path / "big.ini"
+        path.write_text(BASE_CONFIG.replace(old, new))
+        assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("command", ["run", "dump-schedule"])
     def test_unallocatable_horizon_exits_2(self, tmp_path, capsys, command):

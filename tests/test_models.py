@@ -63,6 +63,16 @@ class TestGraph:
         g2 = read_edge_list(path)
         assert g2.adj == g.adj
 
+    @pytest.mark.parametrize("bad", ["1 x", "1 2.0", "-1 2", "1 2 3", "1 01"])
+    def test_edge_list_error_names_file_and_line(self, tmp_path, bad):
+        from asyncmetro import read_edge_list
+
+        path = tmp_path / "edges.txt"
+        path.write_text(f"# header\n0 1\n{bad}\n")
+        with pytest.raises(ValueError) as info:
+            read_edge_list(path)
+        assert str(info.value) == f"{path}:3: expected 'u v' of two distinct node ids >= 0, got {bad!r}"
+
 
 class TestFilterEval:
     def test_coloring_accepts_free_color(self):
