@@ -15,11 +15,10 @@ from .graphs import (
     path_graph,
     random_regular_graph,
     read_edge_list,
-    star_graph,
 )
 from .models import SpinModel, lipschitz_bound, make_coloring, make_hardcore, make_ising
 from .schedule import UpdateId, UpdateSchedule, generate, generate_steps
-from .oracle import ContinuousRun, exact_distribution, run_continuous, run_discrete, total_variation
+from .oracle import ContinuousRun, exact_distribution, run_continuous, total_variation
 from .netsim import (
     FixedDelayScheduler,
     Resolution,
@@ -31,7 +30,6 @@ from .netsim import (
     UniformRandomScheduler,
     filter_range,
     make_scheduler,
-    possible_states,
     run,
     thresholds,
 )

@@ -58,21 +58,16 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "replay-trace":
-        try:
+    try:
+        if args.command == "replay-trace":
             with open(args.trace) as fh:
                 stats, resolutions = netsim.replay_trace(fh)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"makespan={stats.makespan!r} phase1_end={stats.phase1_end!r}")
-        print(f"messages={stats.message_count} phase1={stats.phase1_messages} "
-              f"fragments={stats.phase1_fragments} decisions={stats.decision_messages}")
-        print(f"total_bits={stats.total_bits} max_message_bits={stats.max_message_bits}")
-        print(f"resolutions={len(resolutions)} max_residence={float(stats.residence.max() if len(stats.residence) else 0.0)!r}")
-        return 0
-
-    try:
+            print(f"makespan={stats.makespan!r} phase1_end={stats.phase1_end!r}")
+            print(f"messages={stats.message_count} phase1={stats.phase1_messages} "
+                  f"fragments={stats.phase1_fragments} decisions={stats.decision_messages}")
+            print(f"total_bits={stats.total_bits} max_message_bits={stats.max_message_bits}")
+            print(f"resolutions={len(resolutions)} max_residence={float(stats.residence.max() if len(stats.residence) else 0.0)!r}")
+            return 0
         cfg = harness.load_config(args.config)
         with _out(args.output) as out:
             if args.command == "run":

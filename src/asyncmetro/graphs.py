@@ -95,13 +95,12 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return Graph(rows * cols, edges)
 
 
-def star_graph(leaves: int) -> Graph:
-    """Node 0 is the hub."""
-    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
 def random_regular_graph(n: int, degree: int, seed: int) -> Graph:
-    """Uniform random simple d-regular graph via the pairing model with rejection."""
+    """Uniform random simple d-regular graph via the pairing model with rejection.
+
+    One pairing is simple with probability about exp((1 - d^2) / 4), so the
+    rejection loop rarely succeeds for d = 6 and almost never for d >= 7,
+    whatever n is; it then raises ValueError after its tries."""
     if degree < 0 or degree >= n:
         raise ValueError(f"degree must satisfy 0 <= d < n, got d={degree}, n={n}")
     if (n * degree) % 2:
@@ -121,7 +120,7 @@ def random_regular_graph(n: int, degree: int, seed: int) -> Graph:
         if len(np.unique(keys)) != len(keys):
             continue
         return Graph(n, zip(lo.tolist(), hi.tolist()))
-    # the pairing model rarely yields a simple graph when degree is close to n
+    # each try is simple with probability about exp((1 - d^2) / 4), independent of n
     raise ValueError(f"no simple {degree}-regular pairing on {n} nodes found in {_PAIRING_TRIES} tries")
 
 

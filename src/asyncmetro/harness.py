@@ -178,6 +178,8 @@ def build_graph(cfg: ExperimentConfig, n_override: int | None = None) -> graphs.
     if kind == "random-regular":
         return graphs.random_regular_graph(n, cfg.graph_degree, cfg.graph_seed)
     if kind == "edgelist":
+        if n_override is not None:  # the file fixes n, so every n_grid size would rerun one graph
+            raise ConfigError("[graph] kind = edgelist takes its size from the file; sweep over n_grid needs a generated graph")
         path = Path(cfg.graph_path)
         if not path.is_absolute():
             path = cfg.base_dir / path

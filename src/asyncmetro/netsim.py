@@ -73,7 +73,6 @@ class UniformRandomScheduler(Scheduler):
     """I.i.d. delays uniform on (0, 1]."""
 
     def __init__(self, seed: int = 0):
-        self.seed = seed
         self._rng = np.random.default_rng(seed)
 
     def channels(self, pairs, count):
@@ -121,31 +120,10 @@ def phase1_init_bits(n: int, q: int) -> int:
 # ---------------------------------------------------------------------------
 # possible-state sets and resolution thresholds
 
-def possible_states(
-    schedule: UpdateSchedule, u: int, v: int, i: int, j_u: int, hist_u: Sequence[int]
-) -> frozenset[int]:
-    """Set of states neighbor u may hold at node v's update i, given u's resolved prefix.
-
-    hist_u holds the j_u known post-update states of u (index 0 is the initial
-    value). With idx of u's updates before (v, i) in schedule.rank's order (as
-    in the engine's window table), the set is {hist_u[idx]} if idx < j_u, else
-    hist_u[-1] and the proposals of u's updates j_u..idx."""
-    n, counts, at = schedule.n, schedule.counts, schedule.starts
-    if not (0 <= u < n and 0 <= v < n) or u == v:
-        raise ValueError(f"need two distinct nodes in 0..{n - 1}, got u={u}, v={v}")
-    if not 1 <= i <= counts[v]:
-        raise ValueError(f"node {v} has no update {i}; it has {counts[v]}")
-    if not 1 <= j_u <= counts[u] + 1:
-        raise ValueError(f"j_u = {j_u} outside 1..{counts[u] + 1}")
-    if len(hist_u) != j_u:
-        raise ValueError(f"hist has {len(hist_u)} entries, expected j_u = {j_u}")
-    idx = int(np.searchsorted(schedule.rank[at[u] : at[u + 1]], schedule.rank[at[v] + i - 1]))
-    return frozenset(_possible_set([*hist_u, *schedule.proposals[u].tolist()[j_u - 1 :]], j_u, idx))
-
-
 def _possible_set(known: list[int], j_u: int, idx: int) -> list[int]:
-    """possible_states as a slice of u's known states (see _Node), given idx, the count of u's
-    updates before the query, and no argument checks. A state may repeat."""
+    """The states neighbor u may hold at a query: a slice of u's known states
+    (see _Node), given j_u and idx, u's count of updates before the query in
+    schedule.rank's order. A state may repeat."""
     return known[min(j_u - 1, idx) : idx + 1]
 
 

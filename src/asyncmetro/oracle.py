@@ -5,38 +5,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import IO, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .models import SpinModel, _SPIN
-from .schedule import UpdateSchedule, generate_steps
+from .schedule import UpdateSchedule
 
 _EXACT_TABLE_LIMIT = 10**6
-
-
-@dataclass(frozen=True)
-class TrajectoryStep:
-    node: int
-    index: int  # 1-based update ordinal at the node
-    time: float
-    new_state: int
 
 
 @dataclass
 class ContinuousRun:
     final: np.ndarray
-    schedule: UpdateSchedule = field(repr=False)
     states: list[int] = field(repr=False)  # each update's new state, in schedule.order
-
-    @cached_property
-    def trajectory(self) -> list[TrajectoryStep]:
-        """One step per update in the (time, node, index) order, built on first read."""
-        sch = self.schedule
-        times = [t for ts in sch.times for t in ts.tolist()]
-        steps = zip(sch.order.tolist(), self.states)
-        return [TrajectoryStep(*sch.update_at(pos), times[pos], s) for pos, s in steps]
 
 
 def run_continuous(model: SpinModel, schedule: UpdateSchedule, y0: Sequence[int]) -> ContinuousRun:
@@ -63,13 +45,7 @@ def run_continuous(model: SpinModel, schedule: UpdateSchedule, y0: Sequence[int]
         if coins[pos] < f:
             cur[v] = c_new
         states.append(cur[v])
-    return ContinuousRun(np.asarray(cur, dtype=np.int64), schedule, states)
-
-
-def run_discrete(model: SpinModel, n_steps: int, seed: int, x0: Sequence[int]) -> np.ndarray:
-    """The n_steps-step discrete single-site Metropolis chain: run_continuous on
-    generate_steps(model, n_steps, seed). ValueError on f outside [0, 1]."""
-    return run_continuous(model, generate_steps(model, n_steps, seed), x0).final
+    return ContinuousRun(np.asarray(cur, dtype=np.int64), states)
 
 
 def default_weight(model: SpinModel) -> Callable[[Sequence[int]], float]:
@@ -118,9 +94,3 @@ def exact_distribution(model: SpinModel) -> dict[tuple[int, ...], float]:
 def total_variation(p: dict[tuple[int, ...], float], q: dict[tuple[int, ...], float]) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
-
-
-def write_trajectory(trajectory: list[TrajectoryStep], fh: IO[str]) -> None:
-    """Debug diff format: one "node index time new_state" line per update."""
-    for step in trajectory:
-        fh.write(f"{step.node} {step.index} {step.time!r} {step.new_state}\n")

@@ -2,9 +2,9 @@
 
 The digests below pin the exact bytes of the `asyncmetro run` CSV and
 `--finals` file, of `asyncmetro dump-schedule`, of exported event traces, and
-of the oracle's trajectory dump for small fixed configs. A change that alters
-any of them alters a random stream, an ordering rule or a float's formatting,
-and must say why.
+of the oracle's trajectory text (built here from its states) for small fixed
+configs. A change that alters any of them alters a random stream, an ordering
+rule or a float's formatting, and must say why.
 """
 
 import hashlib
@@ -101,6 +101,10 @@ def test_trajectory(config_path):
     model = harness.build_model(cfg, harness.build_graph(cfg))
     sch = sched_mod.generate(model, cfg.T, 3)
     run = oracle.run_continuous(model, sch, harness.initial_configuration(cfg, model))
-    buf = io.StringIO()
-    oracle.write_trajectory(run.trajectory, buf)
-    assert _sha(buf.getvalue()) == TRAJECTORY_ISING
+    # one "node index time new_state" line per update, in the (time, node, index) order
+    times = [t for ts in sch.times for t in ts.tolist()]
+    text = ""
+    for pos, state in zip(sch.order.tolist(), run.states):
+        node, index = sch.update_at(pos)
+        text += f"{node} {index} {times[pos]!r} {state}\n"
+    assert _sha(text) == TRAJECTORY_ISING

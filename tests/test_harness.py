@@ -558,6 +558,16 @@ class TestCli:
         )
         assert cli.main(["run", str(path)]) == 2
 
+    def test_sweep_over_edge_list_exits_2(self, tmp_path, capsys):
+        # the file fixes n: every n_grid size reran the 4-cycle under its own n label
+        (tmp_path / "c4.txt").write_text("0 1\n1 2\n2 3\n3 0\n")
+        path = tmp_path / "e.ini"
+        path.write_text(BASE_CONFIG.replace("kind = cycle\nn = 6", "kind = edgelist\npath = c4.txt") + "n_grid = 8, 16\n")
+        assert cli.main(["run", str(path), "-o", str(tmp_path / "runs.csv")]) == 0
+        assert cli.main(["sweep", str(path), "-o", str(tmp_path / "sweep.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [graph] kind = edgelist takes its size from the file") and "Traceback" not in err
+
     @pytest.mark.parametrize("flag", ["-o", "--finals"])
     def test_unwritable_output_exits_2(self, config_path, tmp_path, capsys, flag):
         bad = tmp_path / "absent" / "out.txt"

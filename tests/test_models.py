@@ -18,9 +18,13 @@ from asyncmetro import (
     make_ising,
     path_graph,
     random_regular_graph,
-    star_graph,
 )
 from asyncmetro.models import _lipschitz_exact
+
+
+def star_graph(leaves):
+    """Node 0 is the hub."""
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 class TestGraph:

