@@ -32,6 +32,10 @@ WORKERS_ENV = "ASYNCMETRO_WORKERS"
 TV_LIMIT = 0.05
 FIT_R2_LIMIT = 0.8
 
+# The built-in model kinds: kind -> (maker, the ExperimentConfig field of its one parameter)
+MODEL_KINDS = {"coloring": (models.make_coloring, "q"), "hardcore": (models.make_hardcore, "lam"),
+               "ising": (models.make_ising, "beta")}
+
 
 class ConfigError(ValueError):
     pass
@@ -138,8 +142,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if not parser.has_section(name):
             raise ConfigError(f"missing config section {name!r}")
     cfg = ExperimentConfig(**values, base_dir=path.parent)
-    if cfg.model_kind not in ("coloring", "hardcore", "ising"):
-        raise ConfigError(f"[model] kind must be coloring|hardcore|ising, got {cfg.model_kind!r}")
+    if cfg.model_kind not in MODEL_KINDS:
+        raise ConfigError(f"[model] kind must be {'|'.join(MODEL_KINDS)}, got {cfg.model_kind!r}")
     if (cfg.T is None) == (cfg.steps_per_node is None):
         raise ConfigError("[chain] give exactly one of T and steps_per_node")
     key, length = ("T", cfg.T) if cfg.steps_per_node is None else ("steps_per_node", cfg.steps_per_node)
@@ -147,6 +151,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"[chain] {key} must be finite and >= 0, got {length}")
     if cfg.y0_policy == "fixed" and cfg.y0_values is None:
         raise ConfigError("[chain] y0 = fixed needs y0_values")
+    if cfg.y0_policy != "fixed" and cfg.y0_values is not None:  # it would be dropped unread
+        raise ConfigError("[chain] y0_values needs y0 = fixed")
     for p in cfg.scheduler_policies:
         if p not in netsim.SCHEDULER_POLICIES:
             raise ConfigError(f"unknown scheduler policy {p!r}")
@@ -192,11 +198,8 @@ def build_graph(cfg: ExperimentConfig, n_override: int | None = None) -> graphs.
 
 
 def build_model(cfg: ExperimentConfig, graph: graphs.Graph) -> SpinModel:
-    if cfg.model_kind == "coloring":
-        return models.make_coloring(graph, cfg.q)
-    if cfg.model_kind == "hardcore":
-        return models.make_hardcore(graph, cfg.lam)
-    return models.make_ising(graph, cfg.beta)
+    make, param = MODEL_KINDS[cfg.model_kind]
+    return make(graph, getattr(cfg, param))
 
 
 def initial_configuration(cfg: ExperimentConfig, model: SpinModel) -> np.ndarray:
@@ -264,14 +267,9 @@ SWEEP_FIELDS = ("n", "seed", "makespan", "phase1_end", "max_residence", "max_cha
 def run_csv_row(seed: int, scheduler: str, model: SpinModel, result: netsim.SimulationResult,
                 report: instrument.ResidenceReport) -> tuple:
     """One run's values in CSV_FIELDS order; the floats are Python floats, which write_csv reprs."""
-    if model.kind == "hardcore":
-        param = f"lam={model.params['lam']!r}"
-    elif model.kind == "ising":
-        param = f"beta={model.params['beta']!r}"
-    else:
-        param = f"q={model.q}"
+    [(name, value)] = model.params.items()  # a built-in kind's one parameter
     st = result.stats
-    return (seed, scheduler, model.n, model.graph.max_degree, model.kind, param, result.schedule.T,
+    return (seed, scheduler, model.n, model.graph.max_degree, model.kind, f"{name}={value!r}", result.schedule.T,
             st.makespan, st.phase1_end, report.max_residence, report.max_chain_length, st.message_count,
             st.total_bits)
 
@@ -393,7 +391,7 @@ def _sweep_cell(args) -> tuple[int, int, float, float, float, int, int, int]:
 
 @dataclass
 class SweepSummary:
-    per_n: dict[int, dict]          # n -> aggregate row
+    means: dict[int, float]         # n -> mean of the per-run max residence
     fit_intercept: float
     fit_slope: float
     fit_r2: float
@@ -406,18 +404,13 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[tuple], SweepSummary]:
         raise ConfigError(f"[experiment] sweep needs an n_grid of two or more distinct sizes, got {cfg.n_grid}")
     cells = [(cfg, n, seed) for n in cfg.n_grid for seed in cfg.seeds]
     raw = sorted(_map_cells(_sweep_cell, cells, chunksize=1))
-    per_n: dict[int, dict] = {}
-    for n in cfg.n_grid:
-        rows = [r for r in raw if r[0] == n]
-        res = np.array([r[4] for r in rows])
-        per_n[n] = {"n": n, "mean_max_residence": float(res.mean()), "max_max_residence": float(res.max())}
-    ns = sorted(per_n)
     # fit per-n means: under all-unit delays the per-run maxima are integers,
     # so medians quantize too coarsely for a meaningful R^2
-    means = [per_n[n]["mean_max_residence"] for n in ns]
-    a, b, r2, resid = fit_log_n(ns, means)
-    ratios = [means[k + 1] / means[k] if means[k] > 0 else math.inf for k in range(len(ns) - 1)]
-    return raw, SweepSummary(per_n, a, b, r2, resid, ratios)
+    means = {n: float(np.mean([r[4] for r in raw if r[0] == n])) for n in sorted(cfg.n_grid)}
+    ys = list(means.values())
+    a, b, r2, resid = fit_log_n(list(means), ys)
+    ratios = [ys[k + 1] / ys[k] if ys[k] > 0 else math.inf for k in range(len(ys) - 1)]
+    return raw, SweepSummary(means, a, b, r2, resid, ratios)
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: IO[str]) -> int:

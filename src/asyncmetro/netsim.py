@@ -120,13 +120,6 @@ def phase1_init_bits(n: int, q: int) -> int:
 # ---------------------------------------------------------------------------
 # possible-state sets and resolution thresholds
 
-def _possible_set(known: list[int], j_u: int, idx: int) -> list[int]:
-    """The states neighbor u may hold at a query: a slice of u's known states
-    (see _Node), given j_u and idx, u's count of updates before the query in
-    schedule.rank's order. A state may repeat."""
-    return known[min(j_u - 1, idx) : idx + 1]
-
-
 def thresholds(
     model: SpinModel, v: int, c: int, c_new: int, neighbor_states: Sequence[Iterable[int]]
 ) -> tuple[float, float]:
@@ -587,8 +580,8 @@ class Simulation:
         return "\n".join(lines)
 
     def _live_sets(self, node: _Node) -> list[list[int]]:
-        """Each slot's live set, sorted, as derived from the neighbor's known states."""
-        return [sorted(set(_possible_set(known, ju, win[node.i - 1])))
+        """Each slot's live set (see _Node), sorted and deduplicated."""
+        return [sorted(set(known[min(ju - 1, win[node.i - 1]) : win[node.i - 1] + 1]))
                 for known, ju, win in zip(node.known, node.j, node.win)]
 
     def _finalize(self) -> SimulationResult:

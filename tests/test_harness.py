@@ -63,6 +63,9 @@ seeds = 1:3
 runs = 20
 """
 
+# a square grid whose sweep sizes must be perfect squares; format with the n_grid text
+GRID_SWEEP_CONFIG = BASE_CONFIG.replace("kind = cycle\nn = 6", "kind = grid\nrows = 2\ncols = 2") + "n_grid = {}\n"
+
 # every key of every section, each away from its default
 EVERY_KEY_CONFIG = """\
 [model]
@@ -358,7 +361,7 @@ class TestCommands:
         cfg = harness.load_config(path)
         raw, summary = harness.run_sweep(cfg)
         assert len(raw) == 3 * 4
-        assert set(summary.per_n) == {8, 16, 32}
+        assert set(summary.means) == {8, 16, 32}
         assert len(summary.residuals) == 3
         assert len(summary.growth_ratios) == 2
         out = io.StringIO()
@@ -393,7 +396,7 @@ class TestCommands:
                 "[experiment]\nseeds = 1:12\nn_grid = 16, 64\n"
             )
             _, summary = harness.run_sweep(harness.load_config(path))
-            levels[T] = summary.per_n[16]["mean_max_residence"]
+            levels[T] = summary.means[16]
         ratio = levels[8] / levels[4]
         assert 1.5 < ratio < 3.0
 
@@ -407,7 +410,7 @@ class TestCommands:
             "[experiment]\nseeds = 1:3\nn_grid = 8, 16\n"
         )
         _, summary = harness.run_sweep(harness.load_config(path))
-        assert all(d["max_max_residence"] == 0.0 for d in summary.per_n.values())
+        assert all(mean == 0.0 for mean in summary.means.values())
 
     @pytest.mark.parametrize("grid", ["9", "9, 9", "16, 9, 16"])
     def test_sweep_rejects_degenerate_grid(self, tmp_path, capsys, grid):
@@ -587,6 +590,51 @@ class TestCli:
         assert cli.main(["verify-coupling", str(config_path)]) == 0
         assert "all exact" in capsys.readouterr().out
 
+    def test_verify_coupling_mismatch_exits_1(self, config_path, capsys, monkeypatch):
+        # an engine whose final state at node 2 is one colour off the sequential chain's
+        right = netsim.run
+
+        def off_by_one(model, sch, y0, scheduler):
+            res = right(model, sch, y0, scheduler)
+            final = res.final.copy()
+            final[2] = (final[2] + 1) % model.q
+            return dataclasses.replace(res, final=final)
+
+        cfg = harness.load_config(config_path)
+        model, y0 = harness.build_cell(cfg)
+        want = int(oracle.run_continuous(model, harness.build_schedule(cfg, model, 1), y0).final[2])
+        monkeypatch.setattr(netsim, "run", off_by_one)
+        assert cli.main(["verify-coupling", str(config_path)]) == 1
+        out = capsys.readouterr().out
+        assert out == f"MISMATCH seed=1 scheduler=synchronous node=2 expected={want} got={(want + 1) % 5}\n"
+
+    def test_invariant_violation_exits_1(self, config_path, capsys, monkeypatch):
+        # an engine that never resolves an update drains its queue with every node unfinished
+        monkeypatch.setattr(netsim.Simulation, "try_resolve", lambda sim, node: None)
+        assert cli.main(["run", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("simulation invariant violated: event queue drained") and "Traceback" not in err
+
+    def test_tv_test_without_target_mass_exits_2(self, tmp_path, capsys):
+        # a 3-cycle has no proper 2-colouring, so the exact distribution has no mass to normalise
+        path = tmp_path / "tv.ini"
+        path.write_text(
+            "[model]\nkind = coloring\nq = 2\n\n"
+            "[graph]\nkind = cycle\nn = 3\n\n"
+            "[chain]\nT = 1\ny0 = zeros\n\n"
+            "[experiment]\nseeds = 1:1\nruns = 5\n"
+        )
+        assert cli.main(["tv-test", str(path)]) == 2
+        assert capsys.readouterr().err == "error: weight function assigns zero mass everywhere\n"
+
+    def test_grid_sweep_over_square_sizes(self, tmp_path):
+        path = tmp_path / "grid.ini"
+        path.write_text(GRID_SWEEP_CONFIG.format("4, 9, 16"))
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", str(path), "-o", str(out)]) == 0
+        rows = [line for line in out.read_text().splitlines()[1:] if not line.startswith("#")]
+        assert sorted({int(line.split(",")[0]) for line in rows}) == [4, 9, 16]
+
     def test_dump_schedule_and_reload(self, config_path, tmp_path):
         out = tmp_path / "sched.txt"
         assert cli.main(["dump-schedule", str(config_path), "-o", str(out)]) == 0
@@ -633,6 +681,12 @@ class TestCli:
     def test_replay_trace_missing_file(self, tmp_path):
         assert cli.main(["replay-trace", str(tmp_path / "nope.txt")]) == 2
 
+    def test_replay_trace_without_termination_exits_2(self, tmp_path, capsys):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("0.0 enter -1 0\n")
+        assert cli.main(["replay-trace", str(trace)]) == 2
+        assert capsys.readouterr().err == "error: trace has a node that entered Phase II and never terminated\n"
+
     @pytest.mark.parametrize("text", [
         "kind = coloring\n" + BASE_CONFIG,
         BASE_CONFIG + "[graph]\nkind = cycle\n",
@@ -651,6 +705,29 @@ class TestCli:
         assert cli.main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("run", BASE_CONFIG.replace("T = 3.0", "T = 3.0\nsteps_per_node = 2"),
+         "[chain] give exactly one of T and steps_per_node"),
+        ("run", BASE_CONFIG.replace("T = 3.0", ""), "[chain] give exactly one of T and steps_per_node"),
+        ("run", BASE_CONFIG.replace("T = 3.0", "T = 3.0\ny0 = fixed"), "[chain] y0 = fixed needs y0_values"),
+        # the values were dropped unread, and the run started from the greedy colouring
+        ("run", BASE_CONFIG.replace("T = 3.0", "T = 3.0\ny0_values = 0 1 2 3 4 0"),
+         "[chain] y0_values needs y0 = fixed"),
+        ("run", BASE_CONFIG.replace("seeds = 1:5", "seeds ="), "no seeds configured"),
+        ("run", BASE_CONFIG.replace("seeds = 1:5", "seeds = 5:1"), "[experiment] seeds range '5:1' is empty"),
+        ("run", BASE_CONFIG.replace("kind = cycle", "kind = torus"), "unknown graph kind 'torus'"),
+        ("run", STEPS_CONFIG.replace("y0 = zeros", "y0 = greedy"), "y0 = greedy only applies to coloring models"),
+        ("run", BASE_CONFIG.replace("T = 3.0", "T = 3.0\ny0 = random"), "unknown y0 policy 'random'"),
+        ("sweep", GRID_SWEEP_CONFIG.format("4, 8"), "grid sweep sizes must be perfect squares, got 8"),
+    ], ids=["T-and-steps", "neither-T-nor-steps", "fixed-without-values", "values-without-fixed", "no-seeds",
+            "empty-seed-range", "unknown-graph-kind", "greedy-on-hardcore", "unknown-y0-policy",
+            "non-square-grid-sweep"])
+    def test_config_error_exits_2(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert cli.main([command, str(path), "-o", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_fixed_policy_rejected(self, tmp_path, capsys):
         # fixed delays need a per-channel table, which only Python code can build

@@ -86,7 +86,6 @@ class TestPossibleStates:
         assert possible_states(s, 0, 1, 1, 2, [1, 1]) == frozenset({1, 3})
         assert possible_states(s, 0, 1, 1, 3, [1, 1, 1]) == frozenset({1, 3})
         assert possible_states(s, 0, 1, 1, 4, [1, 1, 1, 3]) == frozenset({3})
-        assert netsim._possible_set([1, 3, 1, 3, 3], 1, 4) == [1, 3, 1, 3, 3]
 
 
 class TestThresholds:
@@ -170,6 +169,32 @@ class TestThresholds:
             sets = [{int(rng.integers(2))} for _ in range(2)]
             lo, hi = thresholds(m, 0, int(rng.integers(2)), int(rng.integers(2)), sets)
             assert lo == hi
+
+
+class TestProductCap:
+    # at the hub, two factors of 1e200 overflow to inf and inf * 0 is NaN; every
+    # route caps each running product at models._PRODUCT_CAP, so f stays 0
+    @staticmethod
+    def _model():
+        def factor(v, u, c, cn, b):
+            return 1e200 if b == 0 else 0.0 if b == 2 else 0.5
+
+        return SpinModel(Graph(4, [(0, 1), (0, 2), (0, 3)]), 3, np.full((4, 3), 1.0 / 3), edge_factor_fn=factor)
+
+    def test_every_route_gives_zero(self):
+        m = self._model()
+        assert m.filter_value(0, 1, 1, (0, 0, 2)) == 0.0
+        sets = [{0}, {0}, {2}]
+        assert thresholds(m, 0, 1, 1, sets) == filter_range(m, 0, 1, 1, sets) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("policy", ["synchronous", "uniform"])
+    def test_coupling_through_the_cap(self, policy):
+        m = self._model()
+        y0 = [1, 0, 0, 2]  # the hub starts at the capped product
+        for seed in range(300):
+            s = generate(m, 3.0, seed)
+            res = run(m, s, y0, make_scheduler(policy, seed=seed), paranoid=True)
+            assert np.array_equal(res.final, run_continuous(m, s, y0).final), seed
 
 
 def _coupling_case(rng):
@@ -556,11 +581,10 @@ class TestKnownStates:
 
         def checked(sim, node):
             s, v, i = sim.schedule, node.vid, node.i
-            for u, known, j, win in zip(node.nbrs, node.known, node.j, node.win):
+            for u, known, j, live in zip(node.nbrs, node.known, node.j, sim._live_sets(node)):
                 assert known[:j] == history[u][:j], (v, u, j)
                 assert known[j:] == s.proposals[u].tolist()[j - 1 :], (v, u, j)
-                live = set(known[min(j - 1, win[i - 1]) : win[i - 1] + 1])
-                assert live == possible_states(s, u, v, i, j, history[u][:j]), (v, u, i, j)
+                assert set(live) == possible_states(s, u, v, i, j, history[u][:j]), (v, u, i, j)
             tests.append(v)
             return resolve(sim, node)
 
