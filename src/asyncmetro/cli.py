@@ -24,10 +24,14 @@ from . import harness, netsim
 from .harness import ConfigError
 
 
-def _out(path: str | None):
-    if path is None or path == "-":
-        return nullcontext(sys.stdout)
-    return open(path, "w")
+# the subcommands that take an INI config: name -> (help line, harness entry point)
+COMMANDS = {
+    "run": ("execute seeded simulations, write RunStats CSV", harness.cmd_run),
+    "verify-coupling": ("compare every run against the sequential chain, exactly", harness.cmd_verify_coupling),
+    "tv-test": ("empirical distribution of many runs vs the exhaustive table", harness.cmd_tv_test),
+    "sweep": ("scaling table over an n grid with a + b*ln(n) fit", harness.cmd_sweep),
+    "dump-schedule": ("emit the shared-randomness schedule as text", harness.cmd_dump_schedule),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -38,23 +42,14 @@ def main(argv: list[str] | None = None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, helptext, trace=False):
+    for name, (helptext, _) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        if trace:
-            p.add_argument("trace", help="event-trace file exported by a run")
-        else:
-            p.add_argument("config", help="INI experiment config")
-            p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
-        return p
-
-    run_p = add("run", "execute seeded simulations, write RunStats CSV")
-    run_p.add_argument("--finals", default=None, help="also write final configurations here")
-    add("verify-coupling", "compare every run against the sequential chain, exactly")
-    add("tv-test", "empirical distribution of many runs vs the exhaustive table")
-    add("sweep", "scaling table over an n grid with a + b*ln(n) fit")
-    add("dump-schedule", "emit the shared-randomness schedule as text")
-    add("replay-trace", "recompute RunStats from an exported event trace", trace=True)
+        p.add_argument("config", help="INI experiment config")
+        p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
+        if name == "run":
+            p.add_argument("--finals", default=None, help="also write final configurations here")
+    p = sub.add_parser("replay-trace", help="recompute RunStats from an exported event trace")
+    p.add_argument("trace", help="event-trace file exported by a run")
 
     args = parser.parse_args(argv)
 
@@ -69,20 +64,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"resolutions={len(resolutions)} max_residence={float(stats.residence.max() if len(stats.residence) else 0.0)!r}")
             return 0
         cfg = harness.load_config(args.config)
-        with _out(args.output) as out:
-            if args.command == "run":
-                if args.finals:
-                    with open(args.finals, "w") as finals:
-                        return harness.cmd_run(cfg, out, finals)
-                return harness.cmd_run(cfg, out)
-            if args.command == "verify-coupling":
-                return harness.cmd_verify_coupling(cfg, out)
-            if args.command == "tv-test":
-                return harness.cmd_tv_test(cfg, out)
-            if args.command == "sweep":
-                return harness.cmd_sweep(cfg, out)
-            if args.command == "dump-schedule":
-                return harness.cmd_dump_schedule(cfg, out)
+        with nullcontext(sys.stdout) if args.output in (None, "-") else open(args.output, "w") as out:
+            if args.command == "run" and args.finals:
+                with open(args.finals, "w") as finals:
+                    return harness.cmd_run(cfg, out, finals)
+            return COMMANDS[args.command][1](cfg, out)
     except netsim.SimulationInvariantError as exc:
         print(f"simulation invariant violated: {exc}", file=sys.stderr)
         return 1
@@ -93,7 +79,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -197,11 +197,6 @@ def build_graph(cfg: ExperimentConfig, n_override: int | None = None) -> graphs.
     raise ConfigError(f"unknown graph kind {cfg.graph_kind!r}")
 
 
-def build_model(cfg: ExperimentConfig, graph: graphs.Graph) -> SpinModel:
-    make, param = MODEL_KINDS[cfg.model_kind]
-    return make(graph, getattr(cfg, param))
-
-
 def initial_configuration(cfg: ExperimentConfig, model: SpinModel) -> np.ndarray:
     policy = cfg.y0_policy
     if policy == "default":
@@ -232,7 +227,8 @@ def _scheduler_for(policy: str, cfg: ExperimentConfig, run_seed: int) -> netsim.
 
 def build_cell(cfg: ExperimentConfig, n_override: int | None = None) -> tuple[SpinModel, np.ndarray]:
     """The config's model and initial configuration (graph size n_override if given)."""
-    model = build_model(cfg, build_graph(cfg, n_override))
+    make, param = MODEL_KINDS[cfg.model_kind]
+    model = make(build_graph(cfg, n_override), getattr(cfg, param))
     return model, initial_configuration(cfg, model)
 
 
@@ -243,35 +239,34 @@ def build_schedule(cfg: ExperimentConfig, model: SpinModel, seed: int) -> sched.
     return sched.generate_steps(model, round(cfg.steps_per_node * model.n), seed)
 
 
-def run_one(
-    cfg: ExperimentConfig,
-    seed: int,
-    policy: str,
-    collect_trace: bool = False,
-    cell: tuple[SpinModel, np.ndarray] | None = None,
-) -> tuple[netsim.SimulationResult, instrument.ResidenceReport, SpinModel]:
-    """One seeded run; cell is build_cell's (model, y0), built here when None."""
-    model, y0 = cell if cell is not None else build_cell(cfg)
+def run_one(cfg: ExperimentConfig, cell: tuple[SpinModel, np.ndarray], seed: int, policy: str,
+            collect_trace: bool = False) -> tuple[netsim.SimulationResult, instrument.ResidenceReport]:
+    """One seeded run of cell, build_cell's (model, y0)."""
+    model, y0 = cell
     sch = build_schedule(cfg, model, seed)
     scheduler = _scheduler_for(policy, cfg, seed)
     result = netsim.run(model, sch, y0, scheduler, collect_trace=collect_trace)
-    report = instrument.phase2_residence(result, verify=True)
-    return result, report, model
+    return result, instrument.phase2_residence(result, verify=True)
 
 
-CSV_FIELDS = ("seed", "scheduler", "n", "max_degree", "model", "param", "T", "makespan", "phase1_end",
-              "max_residence", "max_chain_length", "messages", "bits")
-SWEEP_FIELDS = ("n", "seed", "makespan", "phase1_end", "max_residence", "max_chain_length", "messages", "bits")
+METRIC_FIELDS = ("makespan", "phase1_end", "max_residence", "max_chain_length", "messages", "bits")
+CSV_FIELDS = ("seed", "scheduler", "n", "max_degree", "model", "param", "T", *METRIC_FIELDS)
+SWEEP_FIELDS = ("n", "seed", *METRIC_FIELDS)
+
+
+def metrics(result: netsim.SimulationResult, report: instrument.ResidenceReport) -> tuple:
+    """One run's values in METRIC_FIELDS order."""
+    st = result.stats
+    return (st.makespan, st.phase1_end, report.max_residence, report.max_chain_length, st.message_count,
+            st.total_bits)
 
 
 def run_csv_row(seed: int, scheduler: str, model: SpinModel, result: netsim.SimulationResult,
                 report: instrument.ResidenceReport) -> tuple:
     """One run's values in CSV_FIELDS order; the floats are Python floats, which write_csv reprs."""
     [(name, value)] = model.params.items()  # a built-in kind's one parameter
-    st = result.stats
     return (seed, scheduler, model.n, model.graph.max_degree, model.kind, f"{name}={value!r}", result.schedule.T,
-            st.makespan, st.phase1_end, report.max_residence, report.max_chain_length, st.message_count,
-            st.total_bits)
+            *metrics(result, report))
 
 
 def write_csv(rows: list[tuple], fh: IO[str]) -> None:
@@ -285,8 +280,8 @@ def cmd_run(cfg: ExperimentConfig, out: IO[str], finals_out: IO[str] | None = No
     rows, finals = [], []
     for seed in cfg.seeds:
         for policy in cfg.scheduler_policies:
-            result, report, model = run_one(cfg, seed, policy, cell=cell)
-            rows.append(run_csv_row(seed, policy, model, result, report))
+            result, report = run_one(cfg, cell, seed, policy)
+            rows.append(run_csv_row(seed, policy, cell[0], result, report))
             finals.append((seed, policy, result.final.tolist()))
     rows.sort(key=lambda r: r[:2])  # (seed, scheduler)
     write_csv([CSV_FIELDS, *rows], out)
@@ -320,10 +315,14 @@ def cmd_verify_coupling(cfg: ExperimentConfig, out: IO[str]) -> int:
     return 0
 
 
-def _tv_cell(args) -> tuple[int, ...]:
-    cfg, seed = args
-    result, _, _ = run_one(cfg, seed, cfg.scheduler_policies[0])
-    return tuple(int(x) for x in result.final)
+TV_CHUNK = 64  # seeds per tv-test pool task; a model holds closures and does not pickle, so each task builds one
+
+
+def _tv_chunk(args) -> list[tuple[int, ...]]:
+    """The final configuration of one run per seed, every run on one cell."""
+    cfg, seeds = args
+    cell = build_cell(cfg)
+    return [tuple(int(x) for x in run_one(cfg, cell, s, cfg.scheduler_policies[0])[0].final) for s in seeds]
 
 
 def empirical_tv(cfg: ExperimentConfig) -> float:
@@ -332,12 +331,13 @@ def empirical_tv(cfg: ExperimentConfig) -> float:
     runs = cfg.runs
     if runs < 1:
         raise ConfigError(f"need at least one run, got {runs}")
-    model = build_model(cfg, build_graph(cfg))
+    model, _ = build_cell(cfg)
     if model.q ** model.n > 10**6:
         raise ConfigError(f"state space too large for exact comparison: {model.q}^{model.n}")
     exact = oracle.exact_distribution(model)
-    seeds = [cfg.seeds[0] + k for k in range(runs)]
-    counts = Counter(_map_cells(_tv_cell, [(cfg, s) for s in seeds], chunksize=64))
+    seeds = range(cfg.seeds[0], cfg.seeds[0] + runs)
+    chunks = [(cfg, seeds[k:k + TV_CHUNK]) for k in range(0, runs, TV_CHUNK)]
+    counts = Counter(final for finals in _map_cells(_tv_chunk, chunks) for final in finals)
     empirical = {k: c / runs for k, c in counts.items()}
     return oracle.total_variation(empirical, exact)
 
@@ -372,21 +372,19 @@ def worker_count() -> int:
     return int(raw)
 
 
-def _map_cells(fn, cells: list, chunksize: int) -> list:
+def _map_cells(fn, cells: list) -> list:
     """fn over every cell; in a process pool, unordered, when worker_count() > 1."""
     workers = worker_count()
     if workers > 1:
         with Pool(workers) as pool:
-            return list(pool.imap_unordered(fn, cells, chunksize=chunksize))
+            return list(pool.imap_unordered(fn, cells))
     return [fn(cell) for cell in cells]
 
 
-def _sweep_cell(args) -> tuple[int, int, float, float, float, int, int, int]:
+def _sweep_cell(args) -> tuple:
     cfg, n, seed = args
-    result, report, model = run_one(cfg, seed, cfg.scheduler_policies[0], cell=build_cell(cfg, n))
-    st = result.stats
-    return (n, seed, st.makespan, st.phase1_end, report.max_residence, report.max_chain_length,
-            st.message_count, st.total_bits)
+    result, report = run_one(cfg, build_cell(cfg, n), seed, cfg.scheduler_policies[0])
+    return (n, seed, *metrics(result, report))
 
 
 @dataclass
@@ -403,7 +401,7 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[tuple], SweepSummary]:
     if len(set(cfg.n_grid)) < max(2, len(cfg.n_grid)):
         raise ConfigError(f"[experiment] sweep needs an n_grid of two or more distinct sizes, got {cfg.n_grid}")
     cells = [(cfg, n, seed) for n in cfg.n_grid for seed in cfg.seeds]
-    raw = sorted(_map_cells(_sweep_cell, cells, chunksize=1))
+    raw = sorted(_map_cells(_sweep_cell, cells))
     # fit per-n means: under all-unit delays the per-run maxima are integers,
     # so medians quantize too coarsely for a meaningful R^2
     means = {n: float(np.mean([r[4] for r in raw if r[0] == n])) for n in sorted(cfg.n_grid)}
@@ -424,6 +422,6 @@ def cmd_sweep(cfg: ExperimentConfig, out: IO[str]) -> int:
 
 
 def cmd_dump_schedule(cfg: ExperimentConfig, out: IO[str]) -> int:
-    model = build_model(cfg, build_graph(cfg))
+    model, _ = build_cell(cfg)
     sched.dump(build_schedule(cfg, model, cfg.seeds[0]), out)
     return 0

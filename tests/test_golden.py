@@ -89,7 +89,7 @@ def test_dump_schedule(config_path, tmp_path):
 @pytest.mark.parametrize("config_path", sorted(CONFIGS), indirect=True)
 def test_uniform_trace(config_path):
     cfg = harness.load_config(config_path)
-    result, _, _ = harness.run_one(cfg, 2, "uniform", collect_trace=True)
+    result, _ = harness.run_one(cfg, harness.build_cell(cfg), 2, "uniform", collect_trace=True)
     buf = io.StringIO()
     netsim.write_trace(result.trace, buf)
     assert _sha(buf.getvalue()) == TRACE[config_path.stem]
@@ -98,9 +98,9 @@ def test_uniform_trace(config_path):
 @pytest.mark.parametrize("config_path", ["ising"], indirect=True)
 def test_trajectory(config_path):
     cfg = harness.load_config(config_path)
-    model = harness.build_model(cfg, harness.build_graph(cfg))
+    model, y0 = harness.build_cell(cfg)
     sch = sched_mod.generate(model, cfg.T, 3)
-    run = oracle.run_continuous(model, sch, harness.initial_configuration(cfg, model))
+    run = oracle.run_continuous(model, sch, y0)
     # one "node index time new_state" line per update, in the (time, node, index) order
     times = [t for ts in sch.times for t in ts.tolist()]
     text = ""

@@ -151,10 +151,11 @@ class TestLoadConfig:
         path.write_text(STEPS_CONFIG)
         cfg = harness.load_config(path)
         assert (cfg.T, cfg.steps_per_node) == (None, 2.5)
+        cell = harness.build_cell(cfg)
         for seed in cfg.seeds:
             for policy in cfg.scheduler_policies:
-                result, _, model = harness.run_one(cfg, seed, policy)
-                assert (model.n, result.schedule.total_updates) == (12, 30)
+                result, _ = harness.run_one(cfg, cell, seed, policy)
+                assert (cell[0].n, result.schedule.total_updates) == (12, 30)
 
     def test_seed_list_form(self, tmp_path):
         path = tmp_path / "s.ini"
@@ -216,9 +217,7 @@ class TestBuilders:
             harness.build_graph(cfg)
 
     def test_y0_default_greedy_for_coloring(self, config_path):
-        cfg = harness.load_config(config_path)
-        model = harness.build_model(cfg, harness.build_graph(cfg))
-        y0 = harness.initial_configuration(cfg, model)
+        model, y0 = harness.build_cell(harness.load_config(config_path))
         assert all(y0[u] != y0[v] for u, v in model.graph.edges())
 
     def test_y0_greedy_infeasible(self, tmp_path):
@@ -226,26 +225,23 @@ class TestBuilders:
         path = tmp_path / "g.ini"
         path.write_text(BASE_CONFIG.replace("q = 5", "q = 2").replace("n = 6", "n = 5"))
         cfg = harness.load_config(path)
-        model = harness.build_model(cfg, harness.build_graph(cfg))
         with pytest.raises(ConfigError, match="infeasible"):
-            harness.initial_configuration(cfg, model)
+            harness.build_cell(cfg)
 
     def test_y0_fixed(self, tmp_path):
         path = tmp_path / "f.ini"
         path.write_text(
             BASE_CONFIG.replace("T = 3.0", "T = 3.0\ny0 = fixed\ny0_values = 0 1 2 3 4 0")
         )
-        cfg = harness.load_config(path)
-        model = harness.build_model(cfg, harness.build_graph(cfg))
-        assert harness.initial_configuration(cfg, model).tolist() == [0, 1, 2, 3, 4, 0]
+        _, y0 = harness.build_cell(harness.load_config(path))
+        assert y0.tolist() == [0, 1, 2, 3, 4, 0]
 
     def test_y0_fixed_wrong_length(self, tmp_path):
         path = tmp_path / "f.ini"
         path.write_text(BASE_CONFIG.replace("T = 3.0", "T = 3.0\ny0 = fixed\ny0_values = 0 1"))
         cfg = harness.load_config(path)
-        model = harness.build_model(cfg, harness.build_graph(cfg))
         with pytest.raises(ConfigError):
-            harness.initial_configuration(cfg, model)
+            harness.build_cell(cfg)
 
 
 class TestCommands:
@@ -328,9 +324,7 @@ class TestCommands:
         )
         cfg = harness.load_config(path)
         tv = harness.empirical_tv(cfg)
-        exact = oracle.exact_distribution(
-            harness.build_model(cfg, harness.build_graph(cfg))
-        )
+        exact = oracle.exact_distribution(harness.build_cell(cfg)[0])
         # all runs sit at the initial all-zero configuration
         assert tv == pytest.approx(1.0 - exact[(0, 0, 0)])
 
@@ -492,18 +486,28 @@ class TestCommands:
         out = io.StringIO()
         assert harness.cmd_verify_coupling(cfg, out) == 0
 
-    def test_tv_worker_pool_matches_serial(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("runs", [60, 130])  # one chunk of seeds; two full chunks and a part one
+    def test_tv_worker_pool_matches_serial(self, tmp_path, monkeypatch, runs):
         path = tmp_path / "tv.ini"
         path.write_text(
             "[model]\nkind = hardcore\nlambda = 1.0\n\n"
             "[graph]\nkind = cycle\nn = 3\n\n"
             "[chain]\nT = 10\ny0 = zeros\n\n"
             "[scheduler]\npolicies = synchronous\n\n"
-            "[experiment]\nseeds = 1:1\nruns = 60\n"
+            f"[experiment]\nseeds = 5:5\nruns = {runs}\n"
         )
         cfg = harness.load_config(path)
+        seen = []
+        run_one = harness.run_one
+
+        def spy(cfg, cell, seed, *args):
+            seen.append(seed)
+            return run_one(cfg, cell, seed, *args)
+
+        monkeypatch.setattr(harness, "run_one", spy)
         monkeypatch.setenv(harness.WORKERS_ENV, "1")
         serial = harness.empirical_tv(cfg)
+        assert sorted(seen) == list(range(5, 5 + runs))  # each seed of the batch runs exactly once
         monkeypatch.setenv(harness.WORKERS_ENV, "2")
         pooled = harness.empirical_tv(cfg)
         assert pooled == pytest.approx(serial)
@@ -639,7 +643,7 @@ class TestCli:
         out = tmp_path / "sched.txt"
         assert cli.main(["dump-schedule", str(config_path), "-o", str(out)]) == 0
         cfg = harness.load_config(config_path)
-        s = harness.build_schedule(cfg, harness.build_model(cfg, harness.build_graph(cfg)), cfg.seeds[0])
+        s = harness.build_schedule(cfg, harness.build_cell(cfg)[0], cfg.seeds[0])
         assert (s.n, s.seed) == (6, 1)
         assert_dump_exact(out.read_text(), s)
 
@@ -727,6 +731,20 @@ class TestCli:
         path = tmp_path / "bad.ini"
         path.write_text(text)
         assert cli.main([command, str(path), "-o", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["run", "dump-schedule", "tv-test"])
+    @pytest.mark.parametrize("text, message", [
+        (BASE_CONFIG.replace("T = 3.0", "T = 3.0\ny0 = random"), "unknown y0 policy 'random'"),
+        (STEPS_CONFIG.replace("y0 = zeros", "y0 = greedy"), "y0 = greedy only applies to coloring models"),
+        (BASE_CONFIG.replace("T = 3.0", "T = 3.0\ny0 = fixed\ny0_values = 0 1"),
+         "y0_values has length 2, graph has 6 nodes"),
+    ], ids=["unknown-y0-policy", "greedy-on-hardcore", "y0-values-wrong-length"])
+    def test_every_command_rejects_a_bad_y0(self, tmp_path, capsys, command, text, message):
+        # dump-schedule starts no run, yet refuses every y0 that run refuses
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert cli.main([command, str(path), "-o", str(tmp_path / "out.txt")]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_fixed_policy_rejected(self, tmp_path, capsys):
