@@ -77,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     # OSError: an output file cannot be opened; MemoryError: numpy cannot allocate the run's arrays
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)  # a bare MemoryError has no text
         return 2
 
 

@@ -8,6 +8,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 _PAIRING_TRIES = 5000  # pairings random_regular_graph draws before it gives up
+MAX_NODES = 2**32  # schedule.generate keys each node's stream by a uint32 node id
 
 
 class Graph:
@@ -140,4 +141,6 @@ def read_edge_list(path: str | Path) -> Graph:
             u, v = int(parts[0]), int(parts[1])
             edges.append((u, v))
             top = max(top, u, v)
+            if top >= MAX_NODES:  # before Graph allocates a neighbour set per node
+                raise ValueError(f"{path}:{lineno}: node ids must be < 2^32, got {top}")
     return Graph(top + 1, edges)

@@ -2,9 +2,11 @@
 
 Config files are INI-style with sections [model], [graph], [chain],
 [scheduler], and [experiment]. Every run is a pure function of (config,
-seed), so repeated invocations produce byte-identical outputs. The sweep
-runner can fan independent (n, seed) cells out to a process pool sized by the
-ASYNCMETRO_WORKERS environment variable (default 1).
+seed), so repeated invocations produce byte-identical outputs. run_chunk runs
+one batch: a chunk of seeds on one config's model, each seed's schedule drawn
+once for all its policies. tv-test and sweep fan chunks of up to CHUNK seeds
+out to a process pool sized by the ASYNCMETRO_WORKERS environment variable
+(default 1); a sweep size is the config resized to it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import configparser
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
@@ -166,26 +168,22 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"[experiment] runs must be >= 1, got {cfg.runs}")
     if min(cfg.n_grid, default=1) < 1:  # a size of 0 reached fit_log_n as ln 0
         raise ConfigError(f"[experiment] n_grid entries must be >= 1, got {min(cfg.n_grid)}")
+    for key, n in (("[graph] n", cfg.graph_n), ("[graph] rows x cols", cfg.graph_rows * cfg.graph_cols),
+                   ("[experiment] n_grid entries", max(cfg.n_grid, default=0))):
+        if n > graphs.MAX_NODES:  # else a generated graph grew Python lists until the process was killed
+            raise ConfigError(f"{key} must be <= 2^32 nodes, got {n}")
     return cfg
 
 
-def build_graph(cfg: ExperimentConfig, n_override: int | None = None) -> graphs.Graph:
-    n = n_override if n_override is not None else cfg.graph_n
-    kind = cfg.graph_kind
+def build_graph(cfg: ExperimentConfig) -> graphs.Graph:
+    kind, n = cfg.graph_kind, cfg.graph_n
     if kind == "cycle":
         return graphs.cycle_graph(n)
     if kind == "grid":
-        if n_override is not None:
-            side = int(round(math.sqrt(n)))
-            if side * side != n:
-                raise ConfigError(f"grid sweep sizes must be perfect squares, got {n}")
-            return graphs.grid_graph(side, side)
         return graphs.grid_graph(cfg.graph_rows, cfg.graph_cols)
     if kind == "random-regular":
         return graphs.random_regular_graph(n, cfg.graph_degree, cfg.graph_seed)
     if kind == "edgelist":
-        if n_override is not None:  # the file fixes n, so every n_grid size would rerun one graph
-            raise ConfigError("[graph] kind = edgelist takes its size from the file; sweep over n_grid needs a generated graph")
         path = Path(cfg.graph_path)
         if not path.is_absolute():
             path = cfg.base_dir / path
@@ -225,11 +223,21 @@ def _scheduler_for(policy: str, cfg: ExperimentConfig, run_seed: int) -> netsim.
     return netsim.make_scheduler(policy, seed=derived)
 
 
-def build_cell(cfg: ExperimentConfig, n_override: int | None = None) -> tuple[SpinModel, np.ndarray]:
-    """The config's model and initial configuration (graph size n_override if given)."""
+def build_cell(cfg: ExperimentConfig) -> tuple[SpinModel, np.ndarray]:
+    """The config's model and initial configuration."""
     make, param = MODEL_KINDS[cfg.model_kind]
-    model = make(build_graph(cfg, n_override), getattr(cfg, param))
+    model = make(build_graph(cfg), getattr(cfg, param))
     return model, initial_configuration(cfg, model)
+
+
+def sized(cfg: ExperimentConfig, n: int) -> ExperimentConfig:
+    """cfg with its generated graph resized to n nodes, a grid to sqrt(n) x sqrt(n): one sweep size."""
+    if cfg.graph_kind == "edgelist":  # the file fixes n, so every n_grid size would rerun one graph
+        raise ConfigError("[graph] kind = edgelist takes its size from the file; sweep over n_grid needs a generated graph")
+    side = math.isqrt(n)
+    if cfg.graph_kind == "grid" and side * side != n:
+        raise ConfigError(f"grid sweep sizes must be perfect squares, got {n}")
+    return replace(cfg, graph_n=n, graph_rows=side, graph_cols=side)
 
 
 def build_schedule(cfg: ExperimentConfig, model: SpinModel, seed: int) -> sched.UpdateSchedule:
@@ -239,34 +247,18 @@ def build_schedule(cfg: ExperimentConfig, model: SpinModel, seed: int) -> sched.
     return sched.generate_steps(model, round(cfg.steps_per_node * model.n), seed)
 
 
-def run_one(cfg: ExperimentConfig, cell: tuple[SpinModel, np.ndarray], seed: int, policy: str,
-            collect_trace: bool = False) -> tuple[netsim.SimulationResult, instrument.ResidenceReport]:
-    """One seeded run of cell, build_cell's (model, y0)."""
-    model, y0 = cell
-    sch = build_schedule(cfg, model, seed)
-    scheduler = _scheduler_for(policy, cfg, seed)
-    result = netsim.run(model, sch, y0, scheduler, collect_trace=collect_trace)
-    return result, instrument.phase2_residence(result, verify=True)
-
-
 METRIC_FIELDS = ("makespan", "phase1_end", "max_residence", "max_chain_length", "messages", "bits")
 CSV_FIELDS = ("seed", "scheduler", "n", "max_degree", "model", "param", "T", *METRIC_FIELDS)
 SWEEP_FIELDS = ("n", "seed", *METRIC_FIELDS)
-
-
-def metrics(result: netsim.SimulationResult, report: instrument.ResidenceReport) -> tuple:
-    """One run's values in METRIC_FIELDS order."""
-    st = result.stats
-    return (st.makespan, st.phase1_end, report.max_residence, report.max_chain_length, st.message_count,
-            st.total_bits)
 
 
 def run_csv_row(seed: int, scheduler: str, model: SpinModel, result: netsim.SimulationResult,
                 report: instrument.ResidenceReport) -> tuple:
     """One run's values in CSV_FIELDS order; the floats are Python floats, which write_csv reprs."""
     [(name, value)] = model.params.items()  # a built-in kind's one parameter
+    st = result.stats
     return (seed, scheduler, model.n, model.graph.max_degree, model.kind, f"{name}={value!r}", result.schedule.T,
-            *metrics(result, report))
+            st.makespan, st.phase1_end, report.max_residence, report.max_chain_length, st.message_count, st.total_bits)
 
 
 def write_csv(rows: list[tuple], fh: IO[str]) -> None:
@@ -275,19 +267,27 @@ def write_csv(rows: list[tuple], fh: IO[str]) -> None:
         fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
+def run_chunk(args) -> list[tuple[tuple, tuple[int, ...]]]:
+    """Every policy's run on each seed's one schedule, all on cfg's cell, built once: per run,
+    its run_csv_row and its final configuration. Every run passes phase2_residence(verify=True)."""
+    cfg, seeds, policies = args
+    model, y0 = build_cell(cfg)
+    runs = []
+    for seed in seeds:
+        sch = build_schedule(cfg, model, seed)
+        for policy in policies:
+            result = netsim.run(model, sch, y0, _scheduler_for(policy, cfg, seed))
+            report = instrument.phase2_residence(result, verify=True)
+            runs.append((run_csv_row(seed, policy, model, result, report), tuple(result.final.tolist())))
+    return runs
+
+
 def cmd_run(cfg: ExperimentConfig, out: IO[str], finals_out: IO[str] | None = None) -> int:
-    cell = build_cell(cfg)
-    rows, finals = [], []
-    for seed in cfg.seeds:
-        for policy in cfg.scheduler_policies:
-            result, report = run_one(cfg, cell, seed, policy)
-            rows.append(run_csv_row(seed, policy, cell[0], result, report))
-            finals.append((seed, policy, result.final.tolist()))
-    rows.sort(key=lambda r: r[:2])  # (seed, scheduler)
-    write_csv([CSV_FIELDS, *rows], out)
+    runs = sorted(run_chunk((cfg, cfg.seeds, cfg.scheduler_policies)), key=lambda run: run[0][:2])  # (seed, scheduler)
+    write_csv([CSV_FIELDS, *(row for row, _ in runs)], out)
     if finals_out is not None:
-        for seed, policy, config in sorted(finals):
-            finals_out.write(f"{seed} {policy} {' '.join(map(str, config))}\n")
+        for row, final in runs:
+            finals_out.write(f"{row[0]} {row[1]} {' '.join(map(str, final))}\n")
     return 0
 
 
@@ -315,30 +315,38 @@ def cmd_verify_coupling(cfg: ExperimentConfig, out: IO[str]) -> int:
     return 0
 
 
-TV_CHUNK = 64  # seeds per tv-test pool task; a model holds closures and does not pickle, so each task builds one
+CHUNK = 64  # seeds per pool task; a model holds closures and does not pickle, so each task builds its cell
 
 
-def _tv_chunk(args) -> list[tuple[int, ...]]:
-    """The final configuration of one run per seed, every run on one cell."""
-    cfg, seeds = args
-    cell = build_cell(cfg)
-    return [tuple(int(x) for x in run_one(cfg, cell, s, cfg.scheduler_policies[0])[0].final) for s in seeds]
+def worker_count() -> int:
+    """Process-pool size from the environment; ConfigError unless a positive integer."""
+    raw = os.environ.get(WORKERS_ENV, "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
+def _map_chunks(cfgs: list[ExperimentConfig], seeds) -> list[tuple[tuple, tuple[int, ...]]]:
+    """run_chunk's first-policy runs of each config on chunks of up to CHUNK seeds; pooled when worker_count() > 1."""
+    tasks = [(cfg, seeds[k:k + CHUNK], cfg.scheduler_policies[:1]) for cfg in cfgs for k in range(0, len(seeds), CHUNK)]
+    workers = worker_count()
+    if workers > 1:
+        with Pool(workers) as pool:
+            return [run for runs in pool.imap_unordered(run_chunk, tasks) for run in runs]
+    return [run for task in tasks for run in run_chunk(task)]
 
 
 def empirical_tv(cfg: ExperimentConfig) -> float:
     """TV distance between the final configurations of cfg.runs runs, over fresh
     seeds, and the exhaustive distribution."""
-    runs = cfg.runs
-    if runs < 1:
-        raise ConfigError(f"need at least one run, got {runs}")
+    if cfg.runs < 1:
+        raise ConfigError(f"need at least one run, got {cfg.runs}")
     model, _ = build_cell(cfg)
     if model.q ** model.n > 10**6:
         raise ConfigError(f"state space too large for exact comparison: {model.q}^{model.n}")
     exact = oracle.exact_distribution(model)
-    seeds = range(cfg.seeds[0], cfg.seeds[0] + runs)
-    chunks = [(cfg, seeds[k:k + TV_CHUNK]) for k in range(0, runs, TV_CHUNK)]
-    counts = Counter(final for finals in _map_cells(_tv_chunk, chunks) for final in finals)
-    empirical = {k: c / runs for k, c in counts.items()}
+    counts = Counter(final for _, final in _map_chunks([cfg], range(cfg.seeds[0], cfg.seeds[0] + cfg.runs)))
+    empirical = {k: c / cfg.runs for k, c in counts.items()}
     return oracle.total_variation(empirical, exact)
 
 
@@ -364,29 +372,6 @@ def fit_log_n(ns, ys) -> tuple[float, float, float, list[float]]:
     return float(a), float(b), r2, resid
 
 
-def worker_count() -> int:
-    """Process-pool size from the environment; ConfigError unless a positive integer."""
-    raw = os.environ.get(WORKERS_ENV, "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
-def _map_cells(fn, cells: list) -> list:
-    """fn over every cell; in a process pool, unordered, when worker_count() > 1."""
-    workers = worker_count()
-    if workers > 1:
-        with Pool(workers) as pool:
-            return list(pool.imap_unordered(fn, cells))
-    return [fn(cell) for cell in cells]
-
-
-def _sweep_cell(args) -> tuple:
-    cfg, n, seed = args
-    result, report = run_one(cfg, build_cell(cfg, n), seed, cfg.scheduler_policies[0])
-    return (n, seed, *metrics(result, report))
-
-
 @dataclass
 class SweepSummary:
     means: dict[int, float]         # n -> mean of the per-run max residence
@@ -400,8 +385,8 @@ class SweepSummary:
 def run_sweep(cfg: ExperimentConfig) -> tuple[list[tuple], SweepSummary]:
     if len(set(cfg.n_grid)) < max(2, len(cfg.n_grid)):
         raise ConfigError(f"[experiment] sweep needs an n_grid of two or more distinct sizes, got {cfg.n_grid}")
-    cells = [(cfg, n, seed) for n in cfg.n_grid for seed in cfg.seeds]
-    raw = sorted(_map_cells(_sweep_cell, cells))
+    runs = _map_chunks([sized(cfg, n) for n in cfg.n_grid], cfg.seeds)
+    raw = sorted((row[2], row[0], *row[-len(METRIC_FIELDS):]) for row, _ in runs)  # SWEEP_FIELDS: n, seed, metrics
     # fit per-n means: under all-unit delays the per-run maxima are integers,
     # so medians quantize too coarsely for a meaningful R^2
     means = {n: float(np.mean([r[4] for r in raw if r[0] == n])) for n in sorted(cfg.n_grid)}

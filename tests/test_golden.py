@@ -71,10 +71,19 @@ def config_path(tmp_path, request):
 
 
 @pytest.mark.parametrize("config_path", sorted(CONFIGS), indirect=True)
-def test_run_csv_and_finals(config_path, tmp_path):
+def test_run_csv_and_finals(config_path, tmp_path, monkeypatch):
     kind = config_path.stem
+    drawn = []
+    build = harness.build_schedule
+
+    def spy(cfg, model, seed):
+        drawn.append(seed)
+        return build(cfg, model, seed)
+
+    monkeypatch.setattr(harness, "build_schedule", spy)
     out, finals = tmp_path / "runs.csv", tmp_path / "finals.txt"
     assert cli.main(["run", str(config_path), "-o", str(out), "--finals", str(finals)]) == 0
+    assert drawn == [1, 2, 3]  # the three policies of a seed run on its one schedule
     assert _sha(out.read_text()) == RUN_CSV[kind]
     assert _sha(finals.read_text()) == FINALS[kind]
 
@@ -89,7 +98,9 @@ def test_dump_schedule(config_path, tmp_path):
 @pytest.mark.parametrize("config_path", sorted(CONFIGS), indirect=True)
 def test_uniform_trace(config_path):
     cfg = harness.load_config(config_path)
-    result, _ = harness.run_one(cfg, harness.build_cell(cfg), 2, "uniform", collect_trace=True)
+    model, y0 = harness.build_cell(cfg)
+    sch = harness.build_schedule(cfg, model, 2)
+    result = netsim.run(model, sch, y0, harness._scheduler_for("uniform", cfg, 2), collect_trace=True)
     buf = io.StringIO()
     netsim.write_trace(result.trace, buf)
     assert _sha(buf.getvalue()) == TRACE[config_path.stem]

@@ -5,6 +5,7 @@ import io
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +116,19 @@ def config_path(tmp_path):
     return path
 
 
+def run_capped_cli(*args) -> subprocess.CompletedProcess:
+    """python -m asyncmetro in a child whose address space is capped at 1 GiB, so that a
+    regression that allocates without bound fails there and does not exhaust the host's memory."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run([sys.executable, "-m", "asyncmetro", *args], env=env, capture_output=True, text=True,
+                          timeout=60, preexec_fn=cap)
+
+
 class TestLoadConfig:
     def test_basic(self, config_path):
         cfg = harness.load_config(config_path)
@@ -151,11 +165,10 @@ class TestLoadConfig:
         path.write_text(STEPS_CONFIG)
         cfg = harness.load_config(path)
         assert (cfg.T, cfg.steps_per_node) == (None, 2.5)
-        cell = harness.build_cell(cfg)
+        model, _ = harness.build_cell(cfg)
+        assert model.n == 12
         for seed in cfg.seeds:
-            for policy in cfg.scheduler_policies:
-                result, _ = harness.run_one(cfg, cell, seed, policy)
-                assert (cell[0].n, result.schedule.total_updates) == (12, 30)
+            assert harness.build_schedule(cfg, model, seed).total_updates == 30
 
     def test_seed_list_form(self, tmp_path):
         path = tmp_path / "s.ini"
@@ -479,6 +492,30 @@ class TestCommands:
         raw, _ = harness.run_sweep(harness.load_config(path))
         assert len(raw) == 2 * 3 and sorted(set(seen)) == [(4, 10), (16, 40)]
 
+    def test_sweep_builds_one_cell_per_size_and_chunk(self, tmp_path, monkeypatch):
+        # 70 seeds are a chunk of 64 and one of 6, so 3 sizes build 6 cells, where one per run built 210
+        path = tmp_path / "grid.ini"
+        path.write_text(GRID_SWEEP_CONFIG.format("4, 9, 16").replace("seeds = 1:5", "seeds = 1:70"))
+        cfg = harness.load_config(path)
+        built = []
+        build = harness.build_cell
+
+        def spy(cfg):
+            built.append(cfg.graph_rows * cfg.graph_cols)
+            return build(cfg)
+
+        monkeypatch.setattr(harness, "build_cell", spy)
+        monkeypatch.setenv(harness.WORKERS_ENV, "1")
+        serial = io.StringIO()
+        assert harness.cmd_sweep(cfg, serial) == 0
+        assert built == [4, 4, 9, 9, 16, 16]
+        assert len(serial.getvalue().splitlines()) == 1 + 3 * 70 + 3  # header, runs, fit lines
+        monkeypatch.setattr(harness, "build_cell", build)
+        monkeypatch.setenv(harness.WORKERS_ENV, "2")
+        pooled = io.StringIO()
+        assert harness.cmd_sweep(cfg, pooled) == 0
+        assert pooled.getvalue() == serial.getvalue()
+
     def test_verify_coupling_empty_schedule(self, tmp_path):
         path = tmp_path / "t0.ini"
         path.write_text(BASE_CONFIG.replace("T = 3.0", "T = 0"))
@@ -498,13 +535,13 @@ class TestCommands:
         )
         cfg = harness.load_config(path)
         seen = []
-        run_one = harness.run_one
+        build = harness.build_schedule
 
-        def spy(cfg, cell, seed, *args):
+        def spy(cfg, model, seed):
             seen.append(seed)
-            return run_one(cfg, cell, seed, *args)
+            return build(cfg, model, seed)
 
-        monkeypatch.setattr(harness, "run_one", spy)
+        monkeypatch.setattr(harness, "build_schedule", spy)
         monkeypatch.setenv(harness.WORKERS_ENV, "1")
         serial = harness.empirical_tv(cfg)
         assert sorted(seen) == list(range(5, 5 + runs))  # each seed of the batch runs exactly once
@@ -676,10 +713,7 @@ class TestCli:
 
     def test_module_entry_point(self):
         # python -m asyncmetro runs the CLI from a checkout, without an install
-        src = str(Path(harness.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-m", "asyncmetro", "--help"], env=env,
-                              capture_output=True, text=True, timeout=10)
+        done = run_capped_cli("--help")
         assert done.returncode == 0 and "replay-trace" in done.stdout
 
     def test_replay_trace_missing_file(self, tmp_path):
@@ -890,6 +924,47 @@ class TestCli:
         assert cli.main([command, str(path)]) == 2
         err = capsys.readouterr().err
         assert harness.WORKERS_ENV in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("old, new, command, message", [
+        ("n = 6", "n = 100000000000000000000", "run", "[graph] n must be <= 2^32 nodes, got 100000000000000000000"),
+        ("kind = cycle\nn = 6", "kind = grid\nrows = 100000\ncols = 100000", "run",
+         "[graph] rows x cols must be <= 2^32 nodes, got 10000000000"),
+        ("seeds = 1:5", f"seeds = 1:5\nn_grid = 4, {2**40}", "sweep",
+         f"[experiment] n_grid entries must be <= 2^32 nodes, got {2**40}"),
+    ], ids=["cycle-n", "grid-rows-x-cols", "n_grid-entry"])
+    def test_graph_past_2_32_nodes_exits_2(self, tmp_path, old, new, command, message):
+        # schedule.generate keys each node's stream by a uint32 id; such a graph was built until memory ran out
+        path = tmp_path / "huge.ini"
+        path.write_text(BASE_CONFIG.replace(old, new))
+        done = run_capped_cli(command, str(path))
+        assert (done.returncode, done.stderr) == (2, f"config error: {message}\n")
+
+    def test_edge_list_node_past_2_32_exits_2(self, tmp_path):
+        # a node id of 2^32 asked Graph for 2^32 + 1 neighbour sets
+        (tmp_path / "huge.txt").write_text("0 4294967296\n")
+        path = tmp_path / "e.ini"
+        path.write_text(BASE_CONFIG.replace("kind = cycle\nn = 6", "kind = edgelist\npath = huge.txt"))
+        done = run_capped_cli("run", str(path))
+        assert (done.returncode, done.stderr) == (2, f"error: {tmp_path / 'huge.txt'}:1: node ids must be < 2^32, got 4294967296\n")
+
+    def test_bare_memory_error_is_named(self, config_path, capsys, monkeypatch):
+        def out_of_memory(cfg):
+            raise MemoryError
+
+        monkeypatch.setattr(harness, "build_cell", out_of_memory)
+        assert cli.main(["run", str(config_path)]) == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
+    def test_every_subcommand_is_documented(self, capsys):
+        # a command added or dropped without its --help epilog entry and README line fails here
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        text = capsys.readouterr().out
+        commands = set(re.search(r"\{([^}]*)\}", text).group(1).split(","))
+        epilog = re.search(r"Subcommands: ([^.]*)\.", text).group(1)
+        assert {name.strip() for name in epilog.split(",")} == commands
+        block = (Path(__file__).resolve().parents[1] / "README.md").read_text().split("## CLI\n\n```\n")[1].split("```")[0]
+        assert set(re.findall(r"^asyncmetro (\S+)", block, re.M)) == commands
 
     def test_worker_count_reads_environment(self, monkeypatch):
         monkeypatch.delenv(harness.WORKERS_ENV, raising=False)
