@@ -4,9 +4,9 @@ Config files are INI-style with sections [model], [graph], [chain],
 [scheduler], and [experiment]. Every run is a pure function of (config,
 seed), so repeated invocations produce byte-identical outputs. run_chunk runs
 one batch: a chunk of seeds on one config's model, each seed's schedule drawn
-once for all its policies. tv-test and sweep fan chunks of up to CHUNK seeds
-out to a process pool sized by the ASYNCMETRO_WORKERS environment variable
-(default 1); a sweep size is the config resized to it.
+once for all its policies. tv-test and sweep split each config's seeds evenly
+over the workers of a process pool sized by the ASYNCMETRO_WORKERS variable
+(default 1), in chunks of at most CHUNK; a sweep size is the config resized.
 """
 
 from __future__ import annotations
@@ -315,7 +315,7 @@ def cmd_verify_coupling(cfg: ExperimentConfig, out: IO[str]) -> int:
     return 0
 
 
-CHUNK = 64  # seeds per pool task; a model holds closures and does not pickle, so each task builds its cell
+CHUNK = 64  # most seeds per task; a model holds closures and does not pickle, so each task builds its cell
 
 
 def worker_count() -> int:
@@ -327,18 +327,18 @@ def worker_count() -> int:
 
 
 def _map_chunks(cfgs: list[ExperimentConfig], seeds) -> list[tuple[tuple, tuple[int, ...]]]:
-    """run_chunk's first-policy runs of each config on chunks of up to CHUNK seeds; pooled when worker_count() > 1."""
-    tasks = [(cfg, seeds[k:k + CHUNK], cfg.scheduler_policies[:1]) for cfg in cfgs for k in range(0, len(seeds), CHUNK)]
+    """run_chunk's first-policy runs of each config, in order; seeds split evenly over the workers, CHUNK at most."""
     workers = worker_count()
+    size = min(CHUNK, -(-len(seeds) // workers))
+    tasks = [(cfg, seeds[k:k + size], cfg.scheduler_policies[:1]) for cfg in cfgs for k in range(0, len(seeds), size)]
     if workers > 1:
         with Pool(workers) as pool:
-            return [run for runs in pool.imap_unordered(run_chunk, tasks) for run in runs]
+            return [run for runs in pool.imap(run_chunk, tasks) for run in runs]
     return [run for task in tasks for run in run_chunk(task)]
 
 
 def empirical_tv(cfg: ExperimentConfig) -> float:
-    """TV distance between the final configurations of cfg.runs runs, over fresh
-    seeds, and the exhaustive distribution."""
+    """TV distance of the final configurations of cfg.runs runs, on fresh seeds, from the exhaustive distribution."""
     if cfg.runs < 1:
         raise ConfigError(f"need at least one run, got {cfg.runs}")
     model, _ = build_cell(cfg)

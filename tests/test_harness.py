@@ -117,13 +117,16 @@ def config_path(tmp_path):
 
 
 def run_capped_cli(*args) -> subprocess.CompletedProcess:
-    """python -m asyncmetro in a child whose address space is capped at 1 GiB, so that a
-    regression that allocates without bound fails there and does not exhaust the host's memory."""
+    """python -m asyncmetro in a child whose address space is capped at 2 GiB, so that a
+    regression that allocates without bound fails there and does not exhaust the host's memory.
+    BLAS and OpenMP get one thread each: their per-thread reservations grow with the core count
+    and count against the cap (about 100 MB in all with one thread)."""
     src = str(Path(harness.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
     def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
     return subprocess.run([sys.executable, "-m", "asyncmetro", *args], env=env, capture_output=True, text=True,
                           timeout=60, preexec_fn=cap)
@@ -516,6 +519,40 @@ class TestCommands:
         assert harness.cmd_sweep(cfg, pooled) == 0
         assert pooled.getvalue() == serial.getvalue()
 
+    @pytest.mark.parametrize("workers, seeds, chunks", [
+        (2, 70, [35, 35]), (4, 70, [18, 18, 18, 16]), (8, 100, [13] * 7 + [9]), (2, 200, [64] * 3 + [8]),
+    ])
+    def test_sweep_gives_each_worker_a_chunk(self, tmp_path, monkeypatch, workers, seeds, chunks):
+        # seeds split evenly over the workers, so a pool never waits on one worker's serial run of 64 seeds
+        path = tmp_path / "grid.ini"
+        path.write_text(GRID_SWEEP_CONFIG.format("4, 9, 16").replace("seeds = 1:5", f"seeds = 1:{seeds}"))
+        cfg = harness.load_config(path)
+        tasks = []
+
+        class InlinePool:  # the pool's task list, run in this process
+            def __init__(self, size):
+                assert size == workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, args):
+                tasks.extend(args)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "Pool", InlinePool)
+        monkeypatch.setenv(harness.WORKERS_ENV, str(workers))
+        pooled = io.StringIO()
+        assert harness.cmd_sweep(cfg, pooled) == 0
+        assert [(c.graph_rows, len(s)) for c, s, _ in tasks] == [(side, k) for side in (2, 3, 4) for k in chunks]
+        monkeypatch.setenv(harness.WORKERS_ENV, "1")
+        serial = io.StringIO()
+        assert harness.cmd_sweep(cfg, serial) == 0
+        assert pooled.getvalue() == serial.getvalue()
+
     def test_verify_coupling_empty_schedule(self, tmp_path):
         path = tmp_path / "t0.ini"
         path.write_text(BASE_CONFIG.replace("T = 3.0", "T = 0"))
@@ -713,7 +750,10 @@ class TestCli:
 
     def test_module_entry_point(self):
         # python -m asyncmetro runs the CLI from a checkout, without an install
-        done = run_capped_cli("--help")
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "asyncmetro", "--help"], env=env,
+                              capture_output=True, text=True, timeout=10)
         assert done.returncode == 0 and "replay-trace" in done.stdout
 
     def test_replay_trace_missing_file(self, tmp_path):
