@@ -7,7 +7,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-_PAIRING_TRIES = 5000  # pairings random_regular_graph draws before it gives up
+_PAIRING_TRIES = 5000  # rejection tries, and Steger-Wormald restarts, of random_regular_graph
+_REJECTION_MAX_DEGREE = 7  # above it, a rejection try is simple with probability below 2e-7
 MAX_NODES = 2**32  # schedule.generate keys each node's stream by a uint32 node id
 
 
@@ -18,7 +19,7 @@ class Graph:
     self-loops are rejected.
     """
 
-    __slots__ = ("n", "adj", "max_degree")
+    __slots__ = ("n", "adj", "max_degree", "_channels")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -32,9 +33,38 @@ class Graph:
                 raise ValueError(f"self-loop at node {u}")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        self.n = n
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in nbrs)
-        self.max_degree = max((len(a) for a in self.adj), default=0)
+        self._set_adj(tuple(tuple(sorted(s)) for s in nbrs))
+
+    @classmethod
+    def _from_adj(cls, adj: tuple[tuple[int, ...], ...]) -> Graph:
+        """The graph whose adjacency is adj, taken unchecked: each list sorted,
+        loop-free and symmetric. For generators that build it in bulk."""
+        graph = cls.__new__(cls)
+        graph._set_adj(adj)
+        return graph
+
+    def _set_adj(self, adj: tuple[tuple[int, ...], ...]) -> None:
+        self.n = len(adj)
+        self.adj = adj
+        self.max_degree = max(map(len, adj), default=0)
+        self._channels: tuple[tuple, tuple] | None = None
+
+    def channel_tables(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+        """(pairs, rslots), built on first use: pairs holds the directed channels
+        (v, u) in (node, slot) order, and rslots[v][k] is the slot of v in the
+        adjacency of its k-th neighbor."""
+        if self._channels is None:
+            # nodes come in ascending order and adjacency lists are sorted, so
+            # the k-th time u turns up as a neighbor, the node is adj[u][k]
+            seen = [0] * self.n
+            rslots = []
+            for a in self.adj:
+                rslots.append(tuple(seen[u] for u in a))
+                for u in a:
+                    seen[u] += 1
+            pairs = tuple((v, u) for v, a in enumerate(self.adj) for u in a)
+            self._channels = (pairs, tuple(rslots))
+        return self._channels
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -97,32 +127,94 @@ def grid_graph(rows: int, cols: int) -> Graph:
 
 
 def random_regular_graph(n: int, degree: int, seed: int) -> Graph:
-    """Uniform random simple d-regular graph via the pairing model with rejection.
+    """Random simple d-regular graph on n nodes.
 
-    One pairing is simple with probability about exp((1 - d^2) / 4), so the
-    rejection loop rarely succeeds for d = 6 and almost never for d >= 7,
-    whatever n is; it then raises ValueError after its tries."""
+    For d <= 7, the pairing model with rejection, uniform over d-regular
+    graphs: each try pairs a random permutation of the nd points (d per node)
+    and is kept when it has no loop and no double edge. One try is simple with
+    probability about exp((1 - d^2) / 4), independent of n, so the tries often
+    run out at d = 6 and 7. Steger and Wormald's pairing then takes over, with
+    the generator where the tries left it; for d >= 8, where all the tries
+    would fail with probability above 0.999, it runs at once. Its law is only
+    asymptotically uniform, for d = o(n^(1/3)) (Kim and Vu).
+
+    Raises ValueError when no such graph exists (d >= n, or n*d odd)."""
     if degree < 0 or degree >= n:
         raise ValueError(f"degree must satisfy 0 <= d < n, got d={degree}, n={n}")
     if (n * degree) % 2:
         raise ValueError(f"n*degree must be even, got n={n}, degree={degree}")
-    if degree == 0:
-        return Graph(n)
     rng = np.random.default_rng(seed)
-    stubs = np.repeat(np.arange(n), degree)
+    if degree <= _REJECTION_MAX_DEGREE:
+        stubs = np.repeat(np.arange(n), degree)
+        perm = np.empty_like(stubs)
+        for _ in range(_PAIRING_TRIES):
+            perm[:] = stubs
+            rng.shuffle(perm)  # the draws of rng.permutation(stubs), without its copy
+            a, b = perm[0::2], perm[1::2]
+            if np.any(a == b):
+                continue
+            keys = np.minimum(a, b) * n + np.maximum(a, b)
+            keys.sort()
+            if np.any(keys[1:] == keys[:-1]):
+                continue
+            return _regular_graph(n, degree, a, b)
+    return _regular_graph(n, degree, *_steger_wormald(n, degree, rng))
+
+
+def _steger_wormald(n: int, degree: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (u, v) of the edges of a simple d-regular graph, by the
+    algorithm of Steger and Wormald (Combinatorics, Probability and Computing
+    8(4), 1999): draw two of the unpaired points at random and pair them if
+    they lie on distinct nodes not yet adjacent; start over if no such pair
+    is left."""
     for _ in range(_PAIRING_TRIES):
-        perm = rng.permutation(stubs)
-        a, b = perm[0::2], perm[1::2]
-        if np.any(a == b):
-            continue
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        keys = lo.astype(np.int64) * n + hi
-        if len(np.unique(keys)) != len(keys):
-            continue
-        return Graph(n, zip(lo.tolist(), hi.tolist()))
-    # each try is simple with probability about exp((1 - d^2) / 4), independent of n
-    raise ValueError(f"no simple {degree}-regular pairing on {n} nodes found in {_PAIRING_TRIES} tries")
+        points = np.repeat(np.arange(n), degree).tolist()
+        nbrs: list[set[int]] = [set() for _ in range(n)]
+        left = [degree] * n
+        open_nodes = set(range(n))  # the nodes with a point left
+        us: list[int] = []
+        vs: list[int] = []
+        draw = _uniforms(rng)
+        while points:
+            k = len(points)
+            i = int(next(draw) * k)
+            j = int(next(draw) * (k - 1))
+            j += j >= i
+            u, v = points[i], points[j]
+            if u != v and v not in nbrs[u]:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+                us.append(u)
+                vs.append(v)
+                for x in (max(i, j), min(i, j)):
+                    points[x] = points[-1]
+                    points.pop()
+                for w in (u, v):
+                    left[w] -= 1
+                    if not left[w]:
+                        open_nodes.discard(w)
+            # no suitable pair is left only if the open nodes are pairwise adjacent,
+            # which needs at most d of them, as each has fewer than d neighbors
+            elif len(open_nodes) <= degree and all(open_nodes <= nbrs[w] | {w} for w in open_nodes):
+                break
+        else:
+            return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+    raise ValueError(f"no simple {degree}-regular graph on {n} nodes found in {_PAIRING_TRIES} tries")
+
+
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """Endless uniform floats on [0, 1), drawn from rng in blocks."""
+    while True:
+        yield from rng.random(4096).tolist()
+
+
+def _regular_graph(n: int, degree: int, u: np.ndarray, v: np.ndarray) -> Graph:
+    """The graph of the distinct, loop-free edges (u[i], v[i]), which give every
+    node `degree` neighbors: one sort of the keys of both directions lists each
+    node's neighbors in order."""
+    keys = np.concatenate((u * n + v, v * n + u))
+    keys.sort()
+    return Graph._from_adj(tuple(map(tuple, (keys % n).reshape(n, degree).tolist())))
 
 
 def read_edge_list(path: str | Path) -> Graph:

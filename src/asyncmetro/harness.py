@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
-from typing import IO
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -61,14 +61,23 @@ def _ints(text: str) -> list[int]:
     return [_int(x) for x in text.replace(",", " ").split()]
 
 
-def _seeds(spec: str) -> list[int]:
-    """Either "a:b" (inclusive range) or a comma list of ints."""
-    if ":" not in spec:
-        return _ints(spec)
-    lo, hi = (_int(x) for x in spec.split(":", 1))
-    if hi < lo:
-        raise ValueError(f"range {spec.strip()!r} is empty")
-    return list(range(lo, hi + 1))
+def _seeds(spec: str) -> Sequence[int]:
+    """Either "a:b", an inclusive range kept as a range, or a comma list of ints; none below 0."""
+    if ":" in spec:
+        lo, hi = (_int(x) for x in spec.split(":", 1))
+        if hi < lo:
+            raise ValueError(f"range {spec.strip()!r} is empty")
+        seeds, least = range(lo, hi + 1), lo
+        # run and sweep keep a record per seed, an 8-byte reference at the least;
+        # len raises OverflowError past sys.maxsize
+        if len(seeds) * 8 > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+            raise MemoryError
+    else:
+        seeds = _ints(spec)
+        least = min(seeds, default=0)
+    if least < 0:  # numpy's and schedule.generate's own errors name no key
+        raise ValueError(f"must be >= 0, got {least}")
+    return seeds
 
 
 def _word(text: str) -> str:
@@ -104,7 +113,7 @@ class ExperimentConfig:
     y0_values: list[int] | None = _key("chain", "y0_values", _ints, None)
     scheduler_policies: list[str] = _key("scheduler", "policies", _names, "synchronous")
     scheduler_seed: int = _key("scheduler", "seed", _int, "0")
-    seeds: list[int] = _key("experiment", "seeds", _seeds, "1:10")
+    seeds: Sequence[int] = _key("experiment", "seeds", _seeds, "1:10")
     n_grid: list[int] = _key("experiment", "n_grid", _ints, "")
     runs: int = _key("experiment", "runs", _int, "1000")
     base_dir: Path = field(default_factory=Path)
@@ -132,7 +141,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             values[f.name] = None if text is None else parse(text)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} {exc}") from None
-        except (OverflowError, MemoryError):  # a seed range too long to list
+        except (OverflowError, MemoryError):  # a seed range too long to run
             raise ConfigError(f"[{section}] {key} is too large to hold in memory, got {text.strip()!r}") from None
     for name, section in parser.items():  # [DEFAULT] first
         if name not in keys:
@@ -158,8 +167,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for p in cfg.scheduler_policies:
         if p not in netsim.SCHEDULER_POLICIES:
             raise ConfigError(f"unknown scheduler policy {p!r}")
-    for key, seed in (("[graph] seed", cfg.graph_seed), ("[scheduler] seed", cfg.scheduler_seed),
-                      ("[experiment] seeds", min(cfg.seeds, default=0))):
+    for key, seed in (("[graph] seed", cfg.graph_seed), ("[scheduler] seed", cfg.scheduler_seed)):
         if seed < 0:  # numpy's and schedule.generate's own errors name no key
             raise ConfigError(f"{key} must be >= 0, got {seed}")
     if not cfg.seeds:

@@ -44,10 +44,11 @@ class SimulationInvariantError(RuntimeError):
 
 class Scheduler:
     """Delay policy of a run. The engine calls channels(pairs, count) once, at
-    set-up, with the directed channels (src, dst) in (node, slot) order and the
-    run's exact message count; it returns one iterator per channel, whose i-th
-    value is the delay of the i-th message sent on that channel. The engine
-    checks every delay against (0, 1]."""
+    set-up, with the directed channels (src, dst) in (node, slot) order, a tuple
+    the graph builds once for all its runs, and the run's exact message count;
+    it returns one iterator per channel, whose i-th value is the delay of the
+    i-th message sent on that channel. The engine checks every delay against
+    (0, 1]."""
 
     def channels(self, pairs: Sequence[tuple[int, int]], count: int) -> list[Iterator[float]]:
         raise NotImplementedError
@@ -326,20 +327,20 @@ class Simulation:
         coins_l = [b.tolist() for b in schedule.coins]
         known = [[y, *p] for y, p in zip(self.y0, props_l)]
         adj, m, at = model.graph.adj, schedule.counts, schedule.starts
-        slot_of = [{u: k for k, u in enumerate(a)} for a in adj]
+        pairs, rslots = model.graph.channel_tables()
         # ranks rise with the index within a node (its times rise), so counting u's
         # ranks below v's counts u's updates before each of v's in the one order
         ranks = [schedule.rank[at[v] : at[v + 1]] for v in range(model.n)]
         # each node sends m + 1 Phase-I fragments and m decisions on each channel
         count = sum(len(adj[v]) * (2 * m[v] + 1) for v in range(model.n))
-        dly = scheduler.channels([(v, u) for v in range(model.n) for u in adj[v]], count)
+        dly = scheduler.channels(pairs, count)
         starts = [0, *itertools.accumulate(map(len, adj))]
         if len(dly) != starts[-1]:
             raise ValueError(f"scheduler gave {len(dly)} delay streams for {starts[-1]} channels")
         self.nodes = [
             _Node(v, adj[v], props_l[v], coins_l[v], self.y0, known,
                   [ranks[u].searchsorted(ranks[v]).tolist() for u in adj[v]],
-                  [slot_of[u][v] for u in adj[v]], dly[starts[v] : starts[v + 1]])
+                  rslots[v], dly[starts[v] : starts[v + 1]])
             for v in range(model.n)
         ]
         self.times: list[float] = []  # heap of the distinct delivery vtimes

@@ -138,7 +138,7 @@ class TestLoadConfig:
         assert cfg.model_kind == "coloring"
         assert cfg.q == 5
         assert cfg.T == 3.0
-        assert cfg.seeds == [1, 2, 3, 4, 5]
+        assert list(cfg.seeds) == [1, 2, 3, 4, 5]
         assert cfg.scheduler_policies == ["synchronous", "uniform"]
 
     def test_missing_file(self, tmp_path):
@@ -177,6 +177,12 @@ class TestLoadConfig:
         path = tmp_path / "s.ini"
         path.write_text(BASE_CONFIG.replace("seeds = 1:5", "seeds = 3, 9, 27"))
         assert harness.load_config(path).seeds == [3, 9, 27]
+
+    def test_seed_range_stays_a_range(self, tmp_path):
+        # a list of a million seeds took 1.6 s and 40 MB to load
+        path = tmp_path / "s.ini"
+        path.write_text(BASE_CONFIG.replace("seeds = 1:5", "seeds = 0:999999"))
+        assert harness.load_config(path).seeds == range(1000000)
 
     def test_every_declared_key_is_read(self, tmp_path):
         path = tmp_path / "all.ini"
@@ -657,12 +663,22 @@ class TestCli:
         assert err.startswith("error:") and str(bad) in err and "Traceback" not in err
 
     def test_infeasible_random_regular_exits_2(self, tmp_path, capsys):
-        # an 8-node 7-regular graph exists, but the pairing model almost never finds it
+        # no d-regular graph on n nodes exists when n*d is odd or d >= n
         path = tmp_path / "rr.ini"
-        path.write_text(BASE_CONFIG.replace("kind = cycle\nn = 6", "kind = random-regular\nn = 8\ndegree = 7"))
-        assert cli.main(["run", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: no simple 7-regular pairing") and "Traceback" not in err
+        for graph, message in [("n = 7\ndegree = 3", "n*degree must be even"),
+                               ("n = 8\ndegree = 8", "degree must satisfy 0 <= d < n")]:
+            path.write_text(BASE_CONFIG.replace("kind = cycle\nn = 6", f"kind = random-regular\n{graph}"))
+            assert cli.main(["run", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+    def test_complete_random_regular_runs(self, tmp_path, capsys):
+        # K8 is the one 8-node 7-regular graph: rejection almost never finds it, Steger-Wormald does
+        path = tmp_path / "k8.ini"
+        path.write_text(BASE_CONFIG.replace("q = 5", "q = 9").replace(
+            "kind = cycle\nn = 6", "kind = random-regular\nn = 8\ndegree = 7"))
+        assert cli.main(["run", str(path)]) == 0
+        assert capsys.readouterr().out.count("\n") == 1 + 5 * 2  # header + seeds x policies
 
     def test_verify_coupling_cli(self, config_path, capsys):
         assert cli.main(["verify-coupling", str(config_path)]) == 0
@@ -851,8 +867,8 @@ class TestCli:
          "y0_values out of range 0..4"),
     ], ids=["seed-range-unallocatable", "seed-range-past-ssize_t", "y0-value-past-int64"])
     def test_oversized_config_value_exits_2(self, tmp_path, capsys, old, new, message):
-        # the first range would take 800 TB as a list, beyond any 64-bit address
-        # space, so the allocation fails at once and touches no memory
+        # the first range's records would take 800 TB at 8 bytes a seed, more than
+        # any host's memory, and the second's length passes sys.maxsize; neither is listed
         path = tmp_path / "big.ini"
         path.write_text(BASE_CONFIG.replace(old, new))
         assert cli.main(["run", str(path)]) == 2
