@@ -48,9 +48,19 @@ def capped_product(factors: Iterable[float]) -> float:
 
 
 class SpinModel:
-    """Immutable graphical model driving a single-site Metropolis chain."""
+    """Immutable graphical model driving a single-site Metropolis chain.
 
-    __slots__ = ("graph", "q", "proposals", "filter_fn", "edge_factor_fn", "kind", "params")
+    edge_range_fn(v, u, c, c_new, S), allowed only with edge_factor_fn, is the
+    closed form of (min, max) of edge_factor_fn(v, u, c, c_new, b) over the
+    states b in S, a nonempty list or tuple over 0..q-1 that may repeat states.
+    It must equal that enumeration (netsim.edge_range) bit for bit; unlike it,
+    it need not check that each factor is >= 0, as the built-in factors always
+    are. The engine and thresholds read it in place of the enumeration, and
+    paranoid runs and criterion 2 (10^4 instances through thresholds) check
+    what they compute from it against filter_range, which reads only factors.
+    """
+
+    __slots__ = ("graph", "q", "proposals", "filter_fn", "edge_factor_fn", "edge_range_fn", "kind", "params")
 
     def __init__(
         self,
@@ -59,6 +69,7 @@ class SpinModel:
         proposals: np.ndarray,
         filter_fn: Callable[[int, int, int, Sequence[int]], float] | None = None,
         edge_factor_fn: Callable[[int, int, int, int, int], float] | None = None,
+        edge_range_fn: Callable[[int, int, int, int, Sequence[int]], tuple[float, float]] | None = None,
         kind: str = "custom",
         params: dict | None = None,
     ):
@@ -66,6 +77,8 @@ class SpinModel:
             raise ValueError(f"domain size must be >= 1, got {q}")
         if (filter_fn is None) == (edge_factor_fn is None):
             raise ValueError("need exactly one of filter_fn and edge_factor_fn")
+        if edge_range_fn is not None and edge_factor_fn is None:
+            raise ValueError("edge_range_fn needs edge_factor_fn: it is the closed form of the factors' range")
         proposals = np.asarray(proposals, dtype=float)
         if proposals.shape != (graph.n, q):
             raise ValueError(f"proposals must have shape ({graph.n}, {q}), got {proposals.shape}")
@@ -81,6 +94,7 @@ class SpinModel:
         self.proposals.setflags(write=False)
         self.filter_fn = filter_fn
         self.edge_factor_fn = edge_factor_fn
+        self.edge_range_fn = edge_range_fn
         self.kind = kind
         self.params = dict(params or {})
 
@@ -136,6 +150,13 @@ class SpinModel:
         return f"SpinModel(kind={self.kind!r}, q={self.q}, {self.graph!r})"
 
 
+def _coloring_range(v: int, u: int, c: int, c_new: int, S: Sequence[int]) -> tuple[float, float]:
+    """(min, max) over the states b in S of the coloring factor 1[b != c']."""
+    if c_new not in S:
+        return (1.0, 1.0)
+    return (0.0, 0.0) if S.count(c_new) == len(S) else (0.0, 1.0)
+
+
 def make_coloring(graph: Graph, q: int) -> SpinModel:
     """Uniform proper q-coloring chain: uniform proposals, factor 1[b != c']."""
     if q < 1:
@@ -145,7 +166,8 @@ def make_coloring(graph: Graph, q: int) -> SpinModel:
     def factor(v: int, u: int, c: int, c_new: int, b: int) -> float:
         return 0.0 if b == c_new else 1.0
 
-    return SpinModel(graph, q, proposals, edge_factor_fn=factor, kind="coloring", params={"q": q})
+    return SpinModel(graph, q, proposals, edge_factor_fn=factor, edge_range_fn=_coloring_range, kind="coloring",
+                     params={"q": q})
 
 
 def make_hardcore(graph: Graph, lam: float) -> SpinModel:
@@ -161,7 +183,12 @@ def make_hardcore(graph: Graph, lam: float) -> SpinModel:
     def factor(v: int, u: int, c: int, c_new: int, b: int) -> float:
         return 0.0 if b + c_new > 1 else 1.0
 
-    return SpinModel(graph, 2, proposals, edge_factor_fn=factor, kind="hardcore", params={"lam": lam})
+    def edge_range(v: int, u: int, c: int, c_new: int, S: Sequence[int]) -> tuple[float, float]:
+        # on states 0 and 1 the factor is coloring's when c' = 1 and 1 when c' = 0
+        return _coloring_range(v, u, c, c_new, S) if c_new else (1.0, 1.0)
+
+    return SpinModel(graph, 2, proposals, edge_factor_fn=factor, edge_range_fn=edge_range, kind="hardcore",
+                     params={"lam": lam})
 
 
 def make_ising(graph: Graph, beta: float) -> SpinModel:
@@ -184,10 +211,18 @@ def make_ising(graph: Graph, beta: float) -> SpinModel:
     table = [[[math.exp(beta * (_SPIN[cn] - _SPIN[c]) * _SPIN[b]) for b in (0, 1)] for cn in (0, 1)]
              for c in (0, 1)]
 
+    # ranges[c][c_new] = the range over S holding only 0, only 1, both
+    ranges = [[((t[0], t[0]), (t[1], t[1]), (min(t), max(t))) for t in row] for row in table]
+
     def factor(v: int, u: int, c: int, c_new: int, b: int) -> float:
         return table[c][c_new][b]
 
-    return SpinModel(graph, 2, proposals, edge_factor_fn=factor, kind="ising", params={"beta": beta})
+    def edge_range(v: int, u: int, c: int, c_new: int, S: Sequence[int]) -> tuple[float, float]:
+        r = ranges[c][c_new]
+        return (r[2] if 1 in S else r[0]) if 0 in S else r[1]
+
+    return SpinModel(graph, 2, proposals, edge_factor_fn=factor, edge_range_fn=edge_range, kind="ising",
+                     params={"beta": beta})
 
 
 def lipschitz_bound(model: SpinModel) -> float:

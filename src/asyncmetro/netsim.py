@@ -25,6 +25,7 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import partial
 from heapq import heappop, heappush
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -128,20 +129,30 @@ def thresholds(
     of the per-neighbor possible-state sets (sorted-adjacency order): the update
     accepts when beta < min f and rejects when beta >= max f.
 
-    Uses the per-edge min/max closed form when the model has edge factors,
-    otherwise enumerates the product (filter_range). Bad arguments raise
-    ValueError from SpinModel.check_filter_args.
+    With edge factors, min f and max f are the capped products of the per-edge
+    (min g, max g) from model_edge_range, the range the engine reads: the
+    model's closed form edge_range_fn, else the enumeration edge_range.
+    Criterion 2 checks this route against filter_range on 10^4 instances. A
+    filter-only model enumerates the product (filter_range). Bad arguments
+    raise ValueError from SpinModel.check_filter_args.
     """
-    factor = model.edge_factor_fn
-    if factor is None:
+    if model.edge_factor_fn is None:
         return filter_range(model, v, c, c_new, neighbor_states)
     sets = model.check_filter_args(v, c, c_new, neighbor_states)
-    ranges = [edge_range(factor, v, u, c, c_new, S) for u, S in zip(model.graph.adj[v], sets)]
+    erange = model_edge_range(model)
+    ranges = [erange(v, u, c, c_new, S) for u, S in zip(model.graph.adj[v], sets)]
     return capped_product(lo for lo, _ in ranges), capped_product(hi for _, hi in ranges)
 
 
+def model_edge_range(model: SpinModel):
+    """The (min g, max g) function of an edge-factor model, called as
+    (v, u, c, c_new, S): its closed form, or else edge_range on its factor."""
+    return model.edge_range_fn or partial(edge_range, model.edge_factor_fn)
+
+
 def edge_range(factor, v: int, u: int, c: int, c_new: int, S: Sequence[int]) -> tuple[float, float]:
-    """(min, max) of the edge factor g(v, u, c, c_new, b) over the states b in S.
+    """(min, max) of the edge factor g(v, u, c, c_new, b) over the states b in S,
+    by enumeration; the reference for every closed form (SpinModel.edge_range_fn).
     Raises ValueError on a factor that is NaN or negative: the product of the
     per-edge minima is min f only when every factor is >= 0."""
     lo, hi = math.inf, -math.inf
@@ -323,6 +334,7 @@ class Simulation:
         self.schedule = schedule
         self.paranoid = paranoid
         self.factor = model.edge_factor_fn
+        self.edge_range = None if self.factor is None else model_edge_range(model)
         props_l = [p.tolist() for p in schedule.proposals]
         coins_l = [b.tolist() for b in schedule.coins]
         known = [[y, *p] for y, p in zip(self.y0, props_l)]
@@ -416,7 +428,7 @@ class Simulation:
                 return
             node.S[k] = S
         else:
-            lo, hi = edge_range(factor, node.vid, node.nbrs[k], node.value, node.c_new, S)
+            lo, hi = self.edge_range(node.vid, node.nbrs[k], node.value, node.c_new, S)
             if lo == node.fmin[k] and hi == node.fmax[k]:
                 return
             node.fmin[k], node.fmax[k] = lo, hi
@@ -433,7 +445,7 @@ class Simulation:
         node.i = i = node.i + 1
         c_new = node.c_new = node.proposals[i - 1]
         node.beta = node.coins[i - 1]
-        v, c, factor = node.vid, node.value, self.factor
+        v, c, factor, erange = node.vid, node.value, self.factor, self.edge_range
         for k, (u, known, ju, win) in enumerate(zip(node.nbrs, node.known, node.j, node.win)):
             idx = win[i - 1]
             if factor is None:
@@ -443,14 +455,18 @@ class Simulation:
                 x = factor(v, u, c, c_new, known[idx])
                 node.fmin[k] = node.fmax[k] = x if x >= 0.0 else edge_range(factor, v, u, c, c_new, (known[idx],))[0]
             else:
-                node.fmin[k], node.fmax[k] = edge_range(factor, v, u, c, c_new, known[ju - 1 : idx + 1])
+                node.fmin[k], node.fmax[k] = erange(v, u, c, c_new, known[ju - 1 : idx + 1])
 
     def try_resolve(self, node: _Node) -> bool | None:
         """Test the two resolution conditions, accept first; None = undecided."""
         beta = node.beta
         if self.factor is not None:
-            # slot order is adjacency order, the order the filter multiplies in
-            lo, hi = capped_product(node.fmin), capped_product(node.fmax)
+            # slot order is adjacency order, the order the filter multiplies in;
+            # the accept test comes first, so an accept needs no max f
+            lo = capped_product(node.fmin)
+            if beta < lo and not self.paranoid:
+                return True
+            hi = capped_product(node.fmax)
             res = True if beta < lo else False if beta >= hi else None
         else:
             # filter only: the update resolves when every completion of the live

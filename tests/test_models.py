@@ -21,6 +21,7 @@ from asyncmetro import (
     path_graph,
     random_regular_graph,
 )
+from asyncmetro import netsim
 from asyncmetro.models import _lipschitz_exact
 
 
@@ -244,6 +245,30 @@ class TestEdgeFactorContract:
             assert abs(f - explicit) <= 1e-12
             assert 0.0 <= f <= 1.0
             checks += 1
+
+    @pytest.mark.parametrize("make, param", [
+        *((make_coloring, q) for q in (1, 2, 3, 4)),
+        *((make_hardcore, lam) for lam in (0.0, 1.3)),
+        *((make_ising, beta) for beta in (-0.7, 0.0, 0.45)),
+    ], ids=lambda x: getattr(x, "__name__", repr(x)))
+    def test_closed_range_equals_enumeration(self, make, param):
+        # every (c, c') and every nonempty S of length <= 4, repeats included, as the
+        # engine's list slices and as thresholds' tuples; float.hex tells 0.0 from
+        # -0.0 and refuses an int, so equal hex strings mean the same float bits
+        m = make(path_graph(2), param)
+        assert m.edge_range_fn is not None
+        for c, cn in itertools.product(range(m.q), repeat=2):
+            for size in range(1, 5):
+                for S in itertools.product(range(m.q), repeat=size):
+                    want = [float.hex(x) for x in netsim.edge_range(m.edge_factor_fn, 0, 1, c, cn, S)]
+                    for seq in (list(S), S):
+                        got = m.edge_range_fn(0, 1, c, cn, seq)
+                        assert [float.hex(x) for x in got] == want, (c, cn, seq)
+
+    def test_closed_range_needs_edge_factors(self):
+        with pytest.raises(ValueError, match="edge_range_fn needs edge_factor_fn"):
+            SpinModel(path_graph(2), 2, np.full((2, 2), 0.5), filter_fn=lambda v, c, cn, tau: 1.0,
+                      edge_range_fn=lambda v, u, c, cn, S: (1.0, 1.0))
 
 
 class TestLipschitzBound:

@@ -9,6 +9,7 @@ import itertools
 import math
 import re
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -472,6 +473,17 @@ def _soft_filter(v, c, cn, tau):
     return 1.0 / (1.0 + sum(1 for b in tau if b == cn))
 
 
+def _with_range(m, wrap):
+    """m with wrap(erange, v, u, c, c', S) as its edge_range_fn, where erange is
+    the range the engine reads for m: its closed form, else the enumeration."""
+    return SpinModel(m.graph, m.q, m.proposals, edge_factor_fn=m.edge_factor_fn,
+                     edge_range_fn=partial(wrap, netsim.model_edge_range(m)), kind=m.kind, params=m.params)
+
+
+def _halved(lo, hi):
+    return 0.5 * lo, 0.5 * hi
+
+
 class TestParanoidCheck:
     def test_runs_clean_on_every_edge_factor_model(self):
         # paranoid mode recomputes every engine threshold by enumeration of
@@ -515,34 +527,36 @@ class TestParanoidCheck:
         with pytest.raises(SimulationInvariantError, match="resolution mismatch"):
             run(m, s, y0, FixedDelayScheduler(), paranoid=True)
 
-    @pytest.mark.parametrize("graph, beta, seed, fault", [
-        (cycle_graph(6), 0.5, 4, lambda lo, hi: (0.5 * lo, 0.5 * hi)),
+    @pytest.mark.parametrize("make, seed, fault", [
+        (lambda: make_ising(cycle_graph(6), 0.5), 4, _halved),
         # the outcome stays a reject, and 1 - max f is 1.0 for every max f
         # below 1e-16, so only the exact (min f, max f) shows this fault
-        (path_graph(2), 20.0, 2, lambda lo, hi: (lo, 0.0 if hi < 1e-17 else hi)),
-    ], ids=["halved", "tiny-max-zeroed"])
-    def test_detects_wrong_edge_range(self, monkeypatch, graph, beta, seed, fault):
-        m = make_ising(graph, beta)
+        (lambda: make_ising(path_graph(2), 20.0), 2, lambda lo, hi: (lo, 0.0 if hi < 1e-17 else hi)),
+        (lambda: make_hardcore(cycle_graph(6), 1.3), 4, _halved),
+        (lambda: make_coloring(cycle_graph(6), 3), 4, _halved),
+    ], ids=["halved", "tiny-max-zeroed", "hardcore-halved", "coloring-halved"])
+    def test_detects_wrong_edge_range(self, make, seed, fault):
+        # the fault enters through the model's range, the route window slots and
+        # refreshes take; paranoid enumerates with the factors alone
+        m = make()
         s = generate(m, 3.0, seed)
-        y0 = [k % 2 for k in range(graph.n)]
+        y0 = [k % 2 for k in range(m.n)]
         run(m, s, y0, FixedDelayScheduler(), paranoid=True)
-        right = netsim.edge_range
-        monkeypatch.setattr(netsim, "edge_range", lambda *args: fault(*right(*args)))
-        run(m, s, y0, FixedDelayScheduler())  # the fault itself raises nothing
+        faulty = _with_range(m, lambda erange, *args: fault(*erange(*args)))
+        run(faulty, s, y0, FixedDelayScheduler())  # the fault itself raises nothing
         with pytest.raises(SimulationInvariantError, match="resolution mismatch"):
-            run(m, s, y0, FixedDelayScheduler(), paranoid=True)
+            run(faulty, s, y0, FixedDelayScheduler(), paranoid=True)
 
-    def test_repeat_heavy_windows(self, monkeypatch):
+    def test_repeat_heavy_windows(self):
         # q = 2 and long horizons: most windows hold a state more than once, and
-        # the edge range reads them without deduplication
-        repeats = []
-        edge_range = netsim.edge_range
+        # every model's range, closed form or enumeration, reads them without
+        # deduplication
+        repeats = dict.fromkeys(("ising", "hardcore", "custom"), False)
 
-        def spy(factor, v, u, c, c_new, S):
-            repeats.append(len(set(S)) < len(S))
-            return edge_range(factor, v, u, c, c_new, S)
+        def spy(kind, erange, v, u, c, c_new, S):
+            repeats[kind] |= len(set(S)) < len(S)
+            return erange(v, u, c, c_new, S)
 
-        monkeypatch.setattr(netsim, "edge_range", spy)
         rng = np.random.default_rng(7)
         for k in range(9):
             n = int(rng.integers(3, 8))
@@ -551,10 +565,11 @@ class TestParanoidCheck:
             s = generate(m, 10.0, int(rng.integers(10**6)))
             y0 = rng.integers(0, m.q, n) if m.kind != "hardcore" else np.zeros(n, dtype=int)
             expected = run_continuous(m, s, y0).final
+            spied = _with_range(m, partial(spy, m.kind))
             for policy in ("adversarial-max", "uniform"):
-                res = run(m, s, y0, make_scheduler(policy, seed=k), paranoid=True)
+                res = run(spied, s, y0, make_scheduler(policy, seed=k), paranoid=True)
                 assert np.array_equal(res.final, expected), (m.kind, policy)
-        assert any(repeats)
+        assert repeats == {"ising": True, "hardcore": True, "custom": True}
 
     @pytest.mark.parametrize("bad", [float("nan"), -0.5])
     @pytest.mark.parametrize("paranoid", [False, True])
