@@ -16,7 +16,7 @@ from .graphs import (
     random_regular_graph,
     read_edge_list,
 )
-from .models import SpinModel, lipschitz_bound, make_coloring, make_hardcore, make_ising
+from .models import SpinModel, filter_range, lipschitz_bound, make_coloring, make_hardcore, make_ising, thresholds
 from .schedule import UpdateId, UpdateSchedule, generate, generate_steps
 from .oracle import ContinuousRun, exact_distribution, run_continuous, total_variation
 from .netsim import (
@@ -28,10 +28,8 @@ from .netsim import (
     SimulationInvariantError,
     SimulationResult,
     UniformRandomScheduler,
-    filter_range,
     make_scheduler,
     run,
-    thresholds,
 )
 from .instrument import ResidenceReport, chain_lengths, phase2_residence
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import partial
 from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
@@ -47,17 +48,36 @@ def capped_product(factors: Iterable[float]) -> float:
     return 1.0 if p >= 1.0 else p
 
 
+def edge_range(factor, v: int, u: int, c: int, c_new: int, S: Sequence[int]) -> tuple[float, float]:
+    """(min, max) of the edge factor g(v, u, c, c_new, b) over the states b in S,
+    by enumeration; the reference for every closed form (SpinModel.edge_range_fn).
+    Raises ValueError on a factor that is NaN or negative: the product of the
+    per-edge minima is min f only when every factor is >= 0."""
+    lo, hi = math.inf, -math.inf
+    for b in S:
+        x = factor(v, u, c, c_new, b)
+        if not x >= 0.0:
+            raise ValueError(f"edge factor g(v={v}, u={u}, c={c}, c'={c_new}, b={b}) = {x!r}, need >= 0")
+        if x < lo:
+            lo = x
+        if x > hi:
+            hi = x
+    return lo, hi
+
+
 class SpinModel:
     """Immutable graphical model driving a single-site Metropolis chain.
 
     edge_range_fn(v, u, c, c_new, S), allowed only with edge_factor_fn, is the
     closed form of (min, max) of edge_factor_fn(v, u, c, c_new, b) over the
     states b in S, a nonempty list or tuple over 0..q-1 that may repeat states.
-    It must equal that enumeration (netsim.edge_range) bit for bit; unlike it,
-    it need not check that each factor is >= 0, as the built-in factors always
-    are. The engine and thresholds read it in place of the enumeration, and
-    paranoid runs and criterion 2 (10^4 instances through thresholds) check
-    what they compute from it against filter_range, which reads only factors.
+    It must equal that enumeration (edge_range) bit for bit; unlike it, it need
+    not check that each factor is >= 0, as the built-in factors always are.
+    Without one, an edge-factor model binds edge_range on its factor here, so
+    model.edge_range_fn is the one range that the engine and thresholds read
+    (None for a filter-only model). Paranoid runs and criterion 2 (10^4
+    instances through thresholds) check what they compute from it against
+    filter_range, which reads only factors.
     """
 
     __slots__ = ("graph", "q", "proposals", "filter_fn", "edge_factor_fn", "edge_range_fn", "kind", "params")
@@ -94,6 +114,8 @@ class SpinModel:
         self.proposals.setflags(write=False)
         self.filter_fn = filter_fn
         self.edge_factor_fn = edge_factor_fn
+        if edge_range_fn is None and edge_factor_fn is not None:
+            edge_range_fn = partial(edge_range, edge_factor_fn)
         self.edge_range_fn = edge_range_fn
         self.kind = kind
         self.params = dict(params or {})
@@ -148,6 +170,42 @@ class SpinModel:
 
     def __repr__(self) -> str:
         return f"SpinModel(kind={self.kind!r}, q={self.q}, {self.graph!r})"
+
+
+def thresholds(
+    model: SpinModel, v: int, c: int, c_new: int, neighbor_states: Sequence[Iterable[int]]
+) -> tuple[float, float]:
+    """(min f, max f) of the filter for node v's move c -> c_new over the product
+    of the per-neighbor possible-state sets (sorted-adjacency order): the update
+    accepts when beta < min f and rejects when beta >= max f.
+
+    With edge factors, min f and max f are the capped products of the per-edge
+    (min g, max g) from model.edge_range_fn, the range the engine reads.
+    Criterion 2 checks this route against filter_range on 10^4 instances. A
+    filter-only model enumerates the product (filter_range). Bad arguments
+    raise ValueError from SpinModel.check_filter_args.
+    """
+    if model.edge_factor_fn is None:
+        return filter_range(model, v, c, c_new, neighbor_states)
+    sets = model.check_filter_args(v, c, c_new, neighbor_states)
+    erange = model.edge_range_fn
+    ranges = [erange(v, u, c, c_new, S) for u, S in zip(model.graph.adj[v], sets)]
+    return capped_product(lo for lo, _ in ranges), capped_product(hi for _, hi in ranges)
+
+
+def filter_range(
+    model: SpinModel, v: int, c: int, c_new: int, neighbor_states: Sequence[Iterable[int]]
+) -> tuple[float, float]:
+    """(min f, max f) of the filter over the product of state sets, by
+    enumeration; the reference for every closed-form and engine threshold.
+    Raises ValueError on a filter value outside [0, 1], NaN included."""
+    sets = model.check_filter_args(v, c, c_new, neighbor_states)
+    filt = model._filter_raw
+    values = [filt(v, c, c_new, tau) for tau in itertools.product(*sets)]
+    for f in values:
+        if not 0.0 <= f <= 1.0:
+            raise ValueError(f"filter f(v={v}, c={c}, c'={c_new}) = {f!r} over sets {sets}, outside [0, 1]")
+    return min(values), max(values)
 
 
 def _coloring_range(v: int, u: int, c: int, c_new: int, S: Sequence[int]) -> tuple[float, float]:

@@ -25,13 +25,12 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from functools import partial
 from heapq import heappop, heappush
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .models import SpinModel, capped_product
+from .models import SpinModel, capped_product, edge_range, filter_range
 from .schedule import UpdateSchedule, UpdateId
 
 DECISION_BITS = 1
@@ -100,86 +99,26 @@ def make_scheduler(policy: str, seed: int = 0) -> Scheduler:
 # ---------------------------------------------------------------------------
 # message-size accounting
 #
-# Sizes are charged by a fixed formula rather than an encoded wire format:
-# timestamps ride at the n^-4 resolution that keeps update times of adjacent
-# nodes distinct whp (4 id-widths), plus a sender id, the integer part of the
-# time, and the proposal. Decisions are a single bit.
+# Sizes are charged by a fixed formula rather than an encoded wire format: the
+# fraction of a timestamp at n^-4 resolution (4 id-widths), plus a sender id, the
+# integer part of the time, and the proposal. Decisions are a single bit.
 
 def _ilog2(x: int) -> int:
     return max(1, math.ceil(math.log2(x))) if x > 1 else 1
 
 
 def phase1_update_bits(n: int, T: float, q: int) -> int:
-    """Accounted size of one Phase-I update fragment (also the max message size)."""
+    """Accounted size of one Phase-I update fragment (also the max message size).
+    RunStats' total_bits and max_message_bits are this formula's charge, not an
+    encoding. Its n^-4 time resolution keeps adjacent update times apart only whp,
+    at large n: a run on a small graph with a long horizon can depend on finer time
+    differences than it charges for."""
     return 5 * _ilog2(n) + _ilog2(math.ceil(T) + 1) + _ilog2(q)
 
 
 def phase1_init_bits(n: int, q: int) -> int:
     """Accounted size of the initial-value fragment of a PhaseOneInfo message."""
     return _ilog2(n) + _ilog2(q)
-
-
-# ---------------------------------------------------------------------------
-# possible-state sets and resolution thresholds
-
-def thresholds(
-    model: SpinModel, v: int, c: int, c_new: int, neighbor_states: Sequence[Iterable[int]]
-) -> tuple[float, float]:
-    """(min f, max f) of the filter for node v's move c -> c_new over the product
-    of the per-neighbor possible-state sets (sorted-adjacency order): the update
-    accepts when beta < min f and rejects when beta >= max f.
-
-    With edge factors, min f and max f are the capped products of the per-edge
-    (min g, max g) from model_edge_range, the range the engine reads: the
-    model's closed form edge_range_fn, else the enumeration edge_range.
-    Criterion 2 checks this route against filter_range on 10^4 instances. A
-    filter-only model enumerates the product (filter_range). Bad arguments
-    raise ValueError from SpinModel.check_filter_args.
-    """
-    if model.edge_factor_fn is None:
-        return filter_range(model, v, c, c_new, neighbor_states)
-    sets = model.check_filter_args(v, c, c_new, neighbor_states)
-    erange = model_edge_range(model)
-    ranges = [erange(v, u, c, c_new, S) for u, S in zip(model.graph.adj[v], sets)]
-    return capped_product(lo for lo, _ in ranges), capped_product(hi for _, hi in ranges)
-
-
-def model_edge_range(model: SpinModel):
-    """The (min g, max g) function of an edge-factor model, called as
-    (v, u, c, c_new, S): its closed form, or else edge_range on its factor."""
-    return model.edge_range_fn or partial(edge_range, model.edge_factor_fn)
-
-
-def edge_range(factor, v: int, u: int, c: int, c_new: int, S: Sequence[int]) -> tuple[float, float]:
-    """(min, max) of the edge factor g(v, u, c, c_new, b) over the states b in S,
-    by enumeration; the reference for every closed form (SpinModel.edge_range_fn).
-    Raises ValueError on a factor that is NaN or negative: the product of the
-    per-edge minima is min f only when every factor is >= 0."""
-    lo, hi = math.inf, -math.inf
-    for b in S:
-        x = factor(v, u, c, c_new, b)
-        if not x >= 0.0:
-            raise ValueError(f"edge factor g(v={v}, u={u}, c={c}, c'={c_new}, b={b}) = {x!r}, need >= 0")
-        if x < lo:
-            lo = x
-        if x > hi:
-            hi = x
-    return lo, hi
-
-
-def filter_range(
-    model: SpinModel, v: int, c: int, c_new: int, neighbor_states: Sequence[Iterable[int]]
-) -> tuple[float, float]:
-    """(min f, max f) of the filter over the product of state sets, by
-    enumeration; the reference for every closed-form and engine threshold.
-    Raises ValueError on a filter value outside [0, 1], NaN included."""
-    sets = model.check_filter_args(v, c, c_new, neighbor_states)
-    filt = model._filter_raw
-    values = [filt(v, c, c_new, tau) for tau in itertools.product(*sets)]
-    for f in values:
-        if not 0.0 <= f <= 1.0:
-            raise ValueError(f"filter f(v={v}, c={c}, c'={c_new}) = {f!r} over sets {sets}, outside [0, 1]")
-    return min(values), max(values)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +273,7 @@ class Simulation:
         self.schedule = schedule
         self.paranoid = paranoid
         self.factor = model.edge_factor_fn
-        self.edge_range = None if self.factor is None else model_edge_range(model)
+        self.edge_range = model.edge_range_fn
         props_l = [p.tolist() for p in schedule.proposals]
         coins_l = [b.tolist() for b in schedule.coins]
         known = [[y, *p] for y, p in zip(self.y0, props_l)]

@@ -181,17 +181,16 @@ def generate(model: SpinModel, T: float, seed: int) -> UpdateSchedule:
     n = model.n
     bitgen = np.random.PCG64(0)  # one generator, reset to each node's own seeded state
     rng = np.random.Generator(bitgen)
-    times, draws = [], []
+    times, uniforms, coins = [], [], []
     for state in _node_states(int(seed), n):
         bitgen.state = state
         t = _poisson_times(rng, T)
         times.append(t)
-        draws.append(rng.random(2 * len(t)))  # len(t) proposal uniforms, then len(t) coins
+        uniforms.append(rng.random(len(t)))  # the proposal uniforms, then the coins
+        coins.append(rng.random(len(t)))
     cuts = [0, *accumulate(map(len, times))]
-    draws = np.concatenate([*draws, []])
-    coin = np.repeat(np.tile([False, True], n), np.repeat(np.diff(cuts), 2))
-    proposals, coins = _per_node(_proposals(model, cuts, draws[~coin]), cuts), _per_node(draws[coin], cuts)
-    del draws, coin  # before the schedule's checks allocate their own temporaries
+    proposals = _per_node(_proposals(model, cuts, np.concatenate([*uniforms, []])), cuts)
+    del uniforms  # before the schedule's checks allocate their own temporaries; keeps the peak RSS down
     return UpdateSchedule(T, int(seed), n, model.q, times, proposals, coins)
 
 

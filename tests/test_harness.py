@@ -1012,15 +1012,22 @@ class TestCli:
         assert capsys.readouterr().err == "error: MemoryError\n"
 
     def test_every_subcommand_is_documented(self, capsys):
-        # a command added or dropped without its --help epilog entry and README line fails here
+        # a command or a CSV column added or dropped without its --help epilog entry
+        # and README line fails here
         with pytest.raises(SystemExit):
             cli.main(["--help"])
         text = capsys.readouterr().out
         commands = set(re.search(r"\{([^}]*)\}", text).group(1).split(","))
         epilog = re.search(r"Subcommands: ([^.]*)\.", text).group(1)
         assert {name.strip() for name in epilog.split(",")} == commands
-        block = (Path(__file__).resolve().parents[1] / "README.md").read_text().split("## CLI\n\n```\n")[1].split("```")[0]
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI\n\n```\n")[1].split("```")[0]
         assert set(re.findall(r"^asyncmetro (\S+)", block, re.M)) == commands
+        schemas = re.search(r"^  run +([\w,\s]+?)\n  sweep +([\w,\s]+?)  \(", text, re.M)
+        readme_columns = (re.search(rf"{kind} CSV\s+columns: `([^`]*)`", readme).group(1)
+                          for kind in ("Run", "Sweep"))
+        for columns, fields in zip([*schemas.groups(), *readme_columns], [harness.CSV_FIELDS, harness.SWEEP_FIELDS] * 2):
+            assert [name.strip() for name in columns.split(",")] == list(fields), columns
 
     def test_worker_count_reads_environment(self, monkeypatch):
         monkeypatch.delenv(harness.WORKERS_ENV, raising=False)

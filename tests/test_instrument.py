@@ -204,6 +204,49 @@ class TestChainLengths:
             chain_lengths(res)
 
 
+def knowledge_bound(schedule, graph):
+    """L of every update, in (node, index) order: the dependency-chain length of a
+    protocol whose update waits until it knows its whole neighbourhood.
+    L(v, i) = 1 + max(L(v, i - 1), max over neighbours u of L(u, k_u)), with
+    L(., 0) = 0 and k_u u's count of updates before (v, i) in the (time, node,
+    index) order. One pass over schedule.order, in which L(u, k_u) is u's latest L."""
+    latest = [0] * schedule.n
+    bound = [0] * schedule.total_updates
+    nodes = [v for v, m in enumerate(schedule.counts) for _ in range(m)]
+    for pos in schedule.order.tolist():
+        v = nodes[pos]
+        latest[v] = bound[pos] = 1 + max([latest[v], *(latest[u] for u in graph.adj[v])])
+    return bound
+
+
+class TestKnowledgeBound:
+    def test_alternating_fixture_meets_the_bound(self):
+        # every resolution there waits for the neighbour's previous decision, so
+        # the chain is as long as the wait-for-knowledge one: (0,1) (0,2) (1,1) (1,2)
+        m, s, y0 = alternating_fixture()
+        assert knowledge_bound(s, m.graph) == [1, 3, 2, 4]
+        assert chain_lengths(run(m, s, y0, make_scheduler("adversarial-max"))).tolist() == [1, 3, 2, 4]
+
+    def test_chain_never_exceeds_the_bound(self):
+        # a trigger (u, j) of (v, i) has j <= k_u and L rises along each node's
+        # updates, so resolving in advance never makes a chain longer than waiting
+        rng = np.random.default_rng(43)
+        grid = np.array([0.25, 0.5, 0.75, 1.0, 1.5])
+        seen = dict.fromkeys(("isolated", "tie", "shorter"), False)
+        for k in range(300):
+            m, s, y0, _ = TestChainLengths._random_case(rng, k, grid if k % 2 else None)
+            bound = np.array(knowledge_bound(s, m.graph), dtype=np.int64)
+            flat = np.concatenate([*s.times, []])
+            seen["isolated"] |= any(s.counts[v] and not m.graph.adj[v] for v in range(s.n))
+            seen["tie"] |= len(np.unique(flat)) < len(flat)
+            for scheduler in (FixedDelayScheduler(), make_scheduler("uniform", seed=k),
+                              FixedDelayScheduler(default=1e-3)):
+                lengths = chain_lengths(run(m, s, y0, scheduler))
+                assert np.all(lengths <= bound), (k, m.kind, lengths.tolist(), bound.tolist())
+                seen["shorter"] |= bool(np.any(lengths < bound))
+        assert all(seen.values()), seen
+
+
 class TestChainOf:
     def test_first_update_self_triggered_is_base_case(self):
         records = {UpdateId(0, 1): Resolution(0, 1, True, 0.0, None)}

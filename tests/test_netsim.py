@@ -477,7 +477,7 @@ def _with_range(m, wrap):
     """m with wrap(erange, v, u, c, c', S) as its edge_range_fn, where erange is
     the range the engine reads for m: its closed form, else the enumeration."""
     return SpinModel(m.graph, m.q, m.proposals, edge_factor_fn=m.edge_factor_fn,
-                     edge_range_fn=partial(wrap, netsim.model_edge_range(m)), kind=m.kind, params=m.params)
+                     edge_range_fn=partial(wrap, m.edge_range_fn), kind=m.kind, params=m.params)
 
 
 def _halved(lo, hi):
